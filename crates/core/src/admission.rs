@@ -13,7 +13,11 @@
 //!   [`AdmissionDecision::RejectQuota`] (HTTP 429), so one hot tenant
 //!   cannot starve the rest.
 //! * **Queue-depth load shedding** — in-flight requests are counted by
-//!   RAII [`Permit`]s; past [`AdmissionConfig::shed_depth`] the
+//!   RAII [`Permit`]s (over a socket the web server takes the permit
+//!   when it accepts the connection and keeps it until the response is
+//!   written, so the depth is its queue plus its busy workers; an
+//!   in-process caller holds one for the call); past
+//!   [`AdmissionConfig::shed_depth`] *other* requests the
 //!   expensive classes ([`ShedClass::Expensive`]: album solves, About
 //!   mashups) are shed first, and past
 //!   [`AdmissionConfig::hard_depth`] everything but
@@ -190,19 +194,44 @@ impl AdmissionController {
         &self.config
     }
 
-    /// Decides one request. `tenant` is the caller's identity
-    /// (`X-Tenant` header or `tenant` query parameter; anonymous
-    /// traffic shares one bucket). Checks are ordered cheapest-reject
-    /// first: depth shedding costs two atomic loads, the quota check
-    /// takes the bucket lock.
+    /// Takes a queue slot for work whose request is not known yet:
+    /// the web server's acceptor calls this as it enqueues a
+    /// connection, so the depth counts accepted-but-unanswered
+    /// connections. The request is decided later, on the same slot, by
+    /// [`AdmissionController::admit_held`].
+    pub fn enter(&self) -> Permit {
+        self.depth.fetch_add(1, Ordering::SeqCst);
+        Permit {
+            depth: Arc::clone(&self.depth),
+        }
+    }
+
+    /// Decides one request and takes its slot in one step — what
+    /// in-process callers (no socket, no queue) use.
     pub fn admit(&self, tenant: Option<&str>, class: ShedClass) -> AdmissionDecision {
+        self.admit_held(tenant, class, self.enter())
+    }
+
+    /// Decides one request that already holds its slot (`permit`, from
+    /// [`AdmissionController::enter`]); a rejection releases the slot.
+    /// `tenant` is the caller's identity (`X-Tenant` header or `tenant`
+    /// query parameter; anonymous traffic shares one bucket). Depth is
+    /// compared without the request's own slot, and checks are ordered
+    /// cheapest-reject first: depth shedding costs two atomic loads,
+    /// the quota check takes the bucket lock.
+    pub fn admit_held(
+        &self,
+        tenant: Option<&str>,
+        class: ShedClass,
+        permit: Permit,
+    ) -> AdmissionDecision {
         if class == ShedClass::Critical {
-            return self.admitted(false);
+            return self.admitted(permit);
         }
         let now_us = self.clock.now_micros();
-        let depth = self.depth.load(Ordering::SeqCst);
-        let shed = depth >= self.config.hard_depth
-            || (depth >= self.config.shed_depth && class == ShedClass::Expensive);
+        let others = self.depth.load(Ordering::SeqCst).saturating_sub(1);
+        let shed = others >= self.config.hard_depth
+            || (others >= self.config.shed_depth && class == ShedClass::Expensive);
         if shed {
             self.shed_overload.fetch_add(1, Ordering::SeqCst);
             self.last_overload_us
@@ -227,15 +256,12 @@ impl AdmissionController {
         }
         bucket.tokens -= 1.0;
         drop(buckets);
-        self.admitted(true)
+        self.admitted(permit)
     }
 
-    fn admitted(&self, _counted: bool) -> AdmissionDecision {
-        self.depth.fetch_add(1, Ordering::SeqCst);
+    fn admitted(&self, permit: Permit) -> AdmissionDecision {
         self.admitted.fetch_add(1, Ordering::SeqCst);
-        AdmissionDecision::Admit(Permit {
-            depth: Arc::clone(&self.depth),
-        })
+        AdmissionDecision::Admit(permit)
     }
 
     /// Current in-flight request count.
@@ -353,6 +379,41 @@ mod tests {
         assert_eq!(adm.queue_depth(), 1, "critical permit still held");
         drop(critical);
         assert_eq!(adm.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_held_slot_counts_from_enter_and_never_against_itself() {
+        let (adm, _clock) = controller(AdmissionConfig {
+            shed_depth: 1,
+            hard_depth: 2,
+            ..AdmissionConfig::default()
+        });
+        // Queued but undecided connections already count.
+        let first = adm.enter();
+        assert_eq!(adm.queue_depth(), 1);
+        // Alone in the queue: its own slot is not overload.
+        let first = match adm.admit_held(None, ShedClass::Expensive, first) {
+            AdmissionDecision::Admit(p) => p,
+            other => panic!("expected admit, got {other:?}"),
+        };
+        assert_eq!(adm.queue_depth(), 1, "deciding takes no second slot");
+        // One other request in flight: expensive work is shed, and the
+        // rejection gives the slot back.
+        let second = adm.enter();
+        assert!(matches!(
+            adm.admit_held(None, ShedClass::Expensive, second),
+            AdmissionDecision::RejectOverload
+        ));
+        assert_eq!(adm.queue_depth(), 1);
+        let second = adm.enter();
+        assert!(matches!(
+            adm.admit_held(None, ShedClass::Normal, second),
+            AdmissionDecision::Admit(_)
+        ));
+        assert_eq!(adm.queue_depth(), 1, "a dropped permit frees its slot");
+        drop(first);
+        assert_eq!(adm.queue_depth(), 0);
+        assert_eq!(adm.ops().admitted, 2);
     }
 
     #[test]

@@ -1115,6 +1115,8 @@ impl Platform {
         }
         let before = self.album_cache.stats();
         let span = self.obs.tracer().start("album.view");
+        // A cold solve's `sparql` span nests under the view.
+        let entered = span.enter();
         let out = self
             .album_cache
             .view_with(self.store.store(), spec, |spec| {
@@ -1125,6 +1127,7 @@ impl Platform {
                     .map(|t| t.lexical().to_string())
                     .collect())
             });
+        drop(entered);
         span.finish();
         let after = self.album_cache.stats();
         let metrics = self.obs.metrics();

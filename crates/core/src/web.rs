@@ -19,18 +19,22 @@
 //!
 //! Desktop vs mobile rendering is selected by the `User-Agent` header,
 //! reproducing the §3 redirect behaviour. The HTTP layer is
-//! deliberately tiny (HTTP/1.1, GET only) — enough to drive the
-//! platform from a browser or `curl` without external dependencies.
+//! deliberately tiny (HTTP/1.1, GET only, one request per connection)
+//! — enough to drive the platform from a browser or `curl` without
+//! external dependencies. [`WebServer`] serves it in three stages: an
+//! acceptor blocked in `accept()`, a bounded FIFO of accepted
+//! connections, and a fixed pool of workers that each read, admit,
+//! route and write (DESIGN.md §18).
 
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use lodify_rdf::Iri;
 use lodify_tripletags::Tag;
 
+use crate::admission::Permit;
 use crate::error::PlatformError;
 use crate::mashup::MashupService;
 use crate::platform::Platform;
@@ -179,34 +183,52 @@ impl Response {
         }
     }
 
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    /// 431: the request head is larger than the server will buffer.
+    pub fn header_fields_too_large() -> Response {
+        Response {
+            status: 431,
+            content_type: "text/plain; charset=utf-8",
+            body: "request head too large\n".to_string(),
+            request_id: None,
+            trace_id: None,
+        }
+    }
+
+    /// Status line, headers and body in one buffer, so a response
+    /// leaves in one write. `server_timing` is the value of the
+    /// `Server-Timing` header, when the caller measured one.
+    fn to_bytes(&self, server_timing: Option<&str>) -> Vec<u8> {
+        use std::fmt::Write as _;
         let reason = match self.status {
             200 => "OK",
             400 => "Bad Request",
             404 => "Not Found",
             429 => "Too Many Requests",
+            431 => "Request Header Fields Too Large",
             503 => "Service Unavailable",
             _ => "Internal Server Error",
         };
-        let request_id = self
-            .request_id
-            .map(|id| format!("X-Request-Id: {id}\r\n"))
-            .unwrap_or_default();
-        let trace_id = self
-            .trace_id
-            .map(|id| format!("X-Trace-Id: {id:016x}\r\n"))
-            .unwrap_or_default();
-        write!(
-            stream,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: close\r\n\r\n{}",
+        let mut out = String::with_capacity(256 + self.body.len());
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason,
             self.content_type,
-            self.body.len(),
-            request_id,
-            trace_id,
-            self.body
-        )
+            self.body.len()
+        );
+        if let Some(id) = self.request_id {
+            let _ = write!(out, "X-Request-Id: {id}\r\n");
+        }
+        if let Some(id) = self.trace_id {
+            let _ = write!(out, "X-Trace-Id: {id:016x}\r\n");
+        }
+        if let Some(timing) = server_timing {
+            let _ = write!(out, "Server-Timing: {timing}\r\n");
+        }
+        out.push_str("Connection: close\r\n\r\n");
+        out.push_str(&self.body);
+        out.into_bytes()
     }
 }
 
@@ -312,77 +334,86 @@ pub fn route(platform: &Platform, request: &Request) -> Response {
 /// `web.request` histogram (tagging the bucket with the trace id as an
 /// exemplar), and appends an [`lodify_obs::AccessEntry`] to the
 /// platform's access log. The ids are echoed back on the response
-/// (`X-Request-Id`, `X-Trace-Id`). [`route`] stays pure for tests
-/// that don't care about the plumbing.
+/// (`X-Request-Id`, `X-Trace-Id`). The span is the thread's ambient
+/// parent while routing, so spans the layers below start
+/// (`album.view`, `sparql`) are its children. [`route`] stays pure for
+/// tests that don't care about the plumbing.
 ///
 /// When [`Platform::enable_admission`] ran, admission is decided
 /// *before* routing — a shed request costs a classification and an
 /// atomic load, never a parse or a store touch. Quota rejections
 /// return 429, overload sheds 503; both still get a request id and an
 /// access-log entry so storms stay visible. Operational endpoints
-/// (`/ops`, `/metrics`, `/trace/…`) are never shed.
+/// (`/ops`, `/metrics`, `/trace/…`) are never shed. This in-process
+/// entry point takes its own admission slot for the duration of the
+/// call; over a socket the slot is the connection's place in the
+/// server's queue, taken at accept.
 pub fn handle_request(platform: &Platform, request: &Request) -> Response {
+    let slot = platform.admission().map(|admission| admission.enter());
+    respond(platform, request, slot).0
+}
+
+/// [`handle_request`] on an admission slot the caller already holds
+/// (`None` when admission is off). Hands the slot back with the
+/// response unless the request was shed, so a socket caller can keep
+/// it until the response is written.
+fn respond(
+    platform: &Platform,
+    request: &Request,
+    slot: Option<Permit>,
+) -> (Response, Option<Permit>) {
+    use crate::admission::{AdmissionDecision, ShedClass};
     let obs = platform.obs();
     let request_id = obs.access_log().begin();
     let started = obs.metrics().now_micros();
+    let elapsed = || obs.metrics().now_micros().saturating_sub(started);
+    let logged = |mut response: Response, duration_us: u64| {
+        obs.access_log().record(lodify_obs::AccessEntry {
+            request_id,
+            target: request_target(request),
+            status: response.status,
+            duration_us,
+        });
+        response.request_id = Some(request_id);
+        response
+    };
 
-    let mut permit = None;
-    if let Some(admission) = platform.admission() {
-        use crate::admission::{AdmissionDecision, ShedClass};
-        let class = ShedClass::classify(&request.path);
-        match admission.admit(request.tenant.as_deref(), class) {
-            AdmissionDecision::Admit(p) => permit = Some(p),
-            AdmissionDecision::RejectQuota => {
-                obs.metrics().incr("web.shed.quota");
-                let mut response =
-                    Response::too_many_requests(request.tenant.as_deref().unwrap_or("anon"));
-                let elapsed_us = obs.metrics().now_micros().saturating_sub(started);
-                obs.access_log().record(lodify_obs::AccessEntry {
-                    request_id,
-                    target: request_target(request),
-                    status: response.status,
-                    duration_us: elapsed_us,
-                });
-                response.request_id = Some(request_id);
-                return response;
-            }
-            AdmissionDecision::RejectOverload => {
-                obs.metrics().incr("web.shed.overload");
-                let mut response = Response::service_unavailable();
-                let elapsed_us = obs.metrics().now_micros().saturating_sub(started);
-                obs.access_log().record(lodify_obs::AccessEntry {
-                    request_id,
-                    target: request_target(request),
-                    status: response.status,
-                    duration_us: elapsed_us,
-                });
-                response.request_id = Some(request_id);
-                return response;
+    let shed = |counter: &str, response: Response| {
+        obs.metrics().incr(counter);
+        (logged(response, elapsed()), None)
+    };
+    let permit = match (platform.admission(), slot) {
+        (Some(admission), Some(slot)) => {
+            let class = ShedClass::classify(&request.path);
+            match admission.admit_held(request.tenant.as_deref(), class, slot) {
+                AdmissionDecision::Admit(held) => Some(held),
+                AdmissionDecision::RejectQuota => {
+                    let tenant = request.tenant.as_deref().unwrap_or("anon");
+                    return shed("web.shed.quota", Response::too_many_requests(tenant));
+                }
+                AdmissionDecision::RejectOverload => {
+                    return shed("web.shed.overload", Response::service_unavailable());
+                }
             }
         }
-    }
+        _ => None,
+    };
 
     let span = obs.tracer().start("web.request");
     let trace_id = span.context().map(|c| c.trace_id);
+    let entered = span.enter();
     let mut response = route(platform, request);
-    drop(permit);
+    drop(entered);
     // A live span mirrors its duration (exemplar included) into the
     // `web.request` histogram on finish; observe manually only when
     // tracing is off so the histogram never double-counts.
     span.finish();
-    let elapsed_us = obs.metrics().now_micros().saturating_sub(started);
+    let elapsed_us = elapsed();
     if trace_id.is_none() {
         obs.metrics().observe("web.request", elapsed_us);
     }
-    obs.access_log().record(lodify_obs::AccessEntry {
-        request_id,
-        target: request_target(request),
-        status: response.status,
-        duration_us: elapsed_us,
-    });
-    response.request_id = Some(request_id);
     response.trace_id = trace_id;
-    response
+    (logged(response, elapsed_us), permit)
 }
 
 /// Reconstructs `path?k=v&…` for the access log (parameters in sorted
@@ -647,6 +678,30 @@ fn render_ops(platform: &Platform) -> String {
     );
     let _ = writeln!(out, "{snapshot}");
 
+    // With a `WebServer` on this platform: is latency queueing or work?
+    if let Some(busy) = obs.metrics().gauge("web.workers.busy") {
+        let _ = write!(out, "serving: workers busy={busy}");
+        for (label, name) in [
+            ("queue_wait", "web.queue_wait"),
+            ("handle", "web.request"),
+            ("write", "web.write"),
+        ] {
+            let quantile = |q: f64| {
+                obs.metrics()
+                    .histogram(name)
+                    .and_then(|h| h.quantile(q))
+                    .unwrap_or(0.0)
+            };
+            let _ = write!(
+                out,
+                " {label} p50={:.0}us p99={:.0}us",
+                quantile(0.5),
+                quantile(0.99)
+            );
+        }
+        out.push('\n');
+    }
+
     let traces = obs.tracer().recent_traces(8);
     let _ = writeln!(out, "\nrecent traces ({}):", traces.len());
     for trace in &traces {
@@ -784,23 +839,141 @@ impl Default for ServerConfig {
     }
 }
 
+/// Longest request line the server buffers, terminator included.
+const MAX_REQUEST_LINE: usize = 8 * 1024;
+/// Most header lines the server reads.
+const MAX_HEADER_LINES: usize = 64;
+/// Most header bytes the server buffers, over all lines.
+const MAX_HEADER_BYTES: usize = 32 * 1024;
+
+/// An accepted connection waiting for, or being served by, a worker.
+struct Conn {
+    /// Shared with [`ConnQueue`] while a worker serves it, so that
+    /// closing the queue can end a pending read.
+    stream: Arc<TcpStream>,
+    /// When the acceptor queued it (µs on the platform's obs clock).
+    accepted_us: u64,
+    /// The admission slot this connection has held since it was
+    /// accepted; `None` when admission is off.
+    slot: Option<Permit>,
+}
+
+struct QueueState {
+    pending: VecDeque<Conn>,
+    /// Per worker, the stream it is serving.
+    serving: Vec<Option<Arc<TcpStream>>>,
+    closed: bool,
+}
+
+/// The bounded FIFO between the acceptor and the workers.
+struct ConnQueue {
+    state: Mutex<QueueState>,
+    bound: usize,
+    /// Signalled when a connection is queued, and on close.
+    ready: Condvar,
+    /// Signalled when a connection is taken, and on close.
+    space: Condvar,
+}
+
+impl ConnQueue {
+    fn new(bound: usize, workers: usize) -> ConnQueue {
+        ConnQueue {
+            state: Mutex::new(QueueState {
+                pending: VecDeque::new(),
+                serving: vec![None; workers],
+                closed: false,
+            }),
+            // `hard_depth` may be configured to 0 (shed everything);
+            // the queue still needs one slot to hand connections over.
+            bound: bound.max(1),
+            ready: Condvar::new(),
+            space: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // Every update leaves the state valid, so a worker that
+        // panicked elsewhere does not take the queue down with it.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `conn`, waiting for space while the queue is full.
+    /// Returns `false` (dropping `conn`) once the queue is closed.
+    fn push(&self, conn: Conn) -> bool {
+        let mut state = self.lock();
+        while state.pending.len() >= self.bound && !state.closed {
+            state = self.space.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        if state.closed {
+            return false;
+        }
+        state.pending.push_back(conn);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Marks `worker` idle, then waits for its next connection; `None`
+    /// once the queue is closed.
+    fn pop(&self, worker: usize) -> Option<Conn> {
+        let mut state = self.lock();
+        state.serving[worker] = None;
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(conn) = state.pending.pop_front() {
+                state.serving[worker] = Some(Arc::clone(&conn.stream));
+                self.space.notify_one();
+                return Some(conn);
+            }
+            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Closes the queue: connections still waiting are dropped
+    /// unanswered, and the read side of every connection being served
+    /// is shut down, so a worker waiting on a silent client sees EOF
+    /// at once while one already routing still writes its response.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        state.pending.clear();
+        for stream in state.serving.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        self.ready.notify_all();
+        self.space.notify_all();
+    }
+}
+
 /// A running server handle.
 pub struct WebServer {
     addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    queue: Arc<ConnQueue>,
     handle: Option<std::thread::JoinHandle<()>>,
     telemetry: lodify_resilience::Telemetry,
 }
 
 impl WebServer {
-    /// Serves `platform` on `127.0.0.1:port` (0 = ephemeral) in a
-    /// background thread with default timeouts. The platform is shared
-    /// read-only.
+    /// Serves `platform` on `127.0.0.1:port` (0 = ephemeral) in
+    /// background threads with default timeouts. The platform is
+    /// shared read-only.
     pub fn start(platform: Arc<Platform>, port: u16) -> Result<WebServer, PlatformError> {
         WebServer::start_with_config(platform, port, ServerConfig::default())
     }
 
     /// Serves `platform` with explicit timeout configuration.
+    ///
+    /// The pool is sized from the host, not configured: one worker
+    /// per available core, at least 2 (so one slow request never
+    /// stalls the server) and at most 8. The queue holds as many
+    /// connections as admission's `hard_depth` (the default's when
+    /// admission is off): past that depth every request is shed, so a
+    /// longer queue would only hold connections waiting for a 503.
     pub fn start_with_config(
         platform: Arc<Platform>,
         port: u16,
@@ -811,41 +984,47 @@ impl WebServer {
         let addr = listener
             .local_addr()
             .map_err(|e| PlatformError::Invalid(e.to_string()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| PlatformError::Invalid(e.to_string()))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let telemetry = lodify_resilience::Telemetry::new();
-        let server_telemetry = telemetry.clone();
+        let workers = std::thread::available_parallelism()
+            .map_or(2, |n| n.get())
+            .clamp(2, 8);
+        let bound = platform
+            .admission()
+            .map_or_else(crate::admission::AdmissionConfig::default, |a| *a.config())
+            .hard_depth;
+        let queue = Arc::new(ConnQueue::new(bound, workers));
+        // The platform's registry, so the counters below also show on
+        // `/metrics`; written directly, so they count whether or not
+        // observability is enabled.
+        let telemetry = platform.obs().metrics().telemetry().clone();
+        let serving = Serving {
+            platform,
+            config,
+            queue: Arc::clone(&queue),
+            busy: Mutex::new(0),
+        };
         let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        server_telemetry.incr("web.connections");
-                        match handle_connection(&platform, stream, &config) {
-                            Ok(()) => server_telemetry.incr("web.responses"),
-                            Err(PlatformError::Timeout(_)) => server_telemetry.incr("web.timeouts"),
-                            Err(_) => server_telemetry.incr("web.errors"),
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            let serving = &serving;
+            std::thread::scope(|scope| {
+                for worker in 0..workers {
+                    scope.spawn(move || serving.work(worker));
                 }
-            }
+                serving.accept(&listener);
+                // Reached on a fatal accept error too: release the workers.
+                serving.queue.close();
+            });
         });
         Ok(WebServer {
             addr,
-            stop,
+            queue,
             handle: Some(handle),
             telemetry,
         })
     }
 
-    /// Request/timeout counters: `web.connections`, `web.responses`,
-    /// `web.timeouts`, `web.errors`.
+    /// The platform's counter registry, where the server counts
+    /// `web.connections` and how each one ended: `web.responses`,
+    /// `web.timeouts`, `web.errors`, `web.connections.empty`; plus
+    /// `web.rejected.oversize` for heads past the size limits.
     pub fn telemetry(&self) -> &lodify_resilience::Telemetry {
         &self.telemetry
     }
@@ -855,23 +1034,264 @@ impl WebServer {
         self.addr
     }
 
-    /// Stops the server and joins the thread.
+    /// Stops the server and joins its threads: connections still
+    /// queued are dropped, requests already being routed finish.
+    /// Re-raises the panic of a worker that died.
     pub fn stop(mut self) {
-        self.shutdown();
+        if let Err(panic) = self.shutdown() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+    fn shutdown(&mut self) -> std::thread::Result<()> {
+        let Some(handle) = self.handle.take() else {
+            return Ok(());
+        };
+        self.queue.close();
+        // The acceptor is blocked in `accept()`: one connection wakes
+        // it, and it drops that connection uncounted because the queue
+        // is closed. If this connect fails the backlog is full, so the
+        // acceptor is about to wake anyway.
+        let _ = TcpStream::connect_timeout(&self.addr, std::time::Duration::from_millis(200));
+        handle.join()
     }
 }
 
 impl Drop for WebServer {
     fn drop(&mut self) {
-        self.shutdown();
+        let _ = self.shutdown();
     }
+}
+
+/// What the acceptor and the workers share.
+struct Serving {
+    platform: Arc<Platform>,
+    config: ServerConfig,
+    queue: Arc<ConnQueue>,
+    /// Workers serving a connection right now (the
+    /// `web.workers.busy` gauge, kept exact by updating both under
+    /// this lock).
+    busy: Mutex<u64>,
+}
+
+/// How a connection that did not fail ended.
+enum Served {
+    /// A response was written.
+    Answered,
+    /// The peer closed without sending a byte.
+    Empty,
+}
+
+/// What [`read_head`] found on a connection.
+#[derive(Debug, PartialEq)]
+enum Head {
+    /// End of stream before the first byte.
+    Empty,
+    /// The request line or the headers exceed the size limits.
+    Oversize,
+    /// A request line (unparsed) and its headers.
+    Request {
+        line: String,
+        headers: Vec<(String, String)>,
+    },
+}
+
+impl Serving {
+    /// Where the connection counters go: see [`WebServer::telemetry`].
+    fn telemetry(&self) -> &lodify_resilience::Telemetry {
+        self.platform.obs().metrics().telemetry()
+    }
+
+    /// The accept loop: takes the connection's admission slot, stamps
+    /// it and queues it. Returns when the queue is closed or the
+    /// listener fails.
+    fn accept(&self, listener: &TcpListener) {
+        use std::io::ErrorKind::{ConnectionAborted, Interrupted};
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                // A connection that died in the backlog, or a signal:
+                // not the listener's fault.
+                Err(e) if matches!(e.kind(), ConnectionAborted | Interrupted) => continue,
+                Err(_) => return,
+            };
+            if self.queue.is_closed() {
+                return;
+            }
+            self.telemetry().incr("web.connections");
+            let conn = Conn {
+                stream: Arc::new(stream),
+                accepted_us: self.platform.obs().metrics().now_micros(),
+                slot: self.platform.admission().map(|a| a.enter()),
+            };
+            if !self.queue.push(conn) {
+                return;
+            }
+        }
+    }
+
+    /// A worker: serves queued connections until the queue closes.
+    fn work(&self, worker: usize) {
+        while let Some(conn) = self.queue.pop(worker) {
+            self.step_busy(1);
+            let counter = match self.serve(conn) {
+                Ok(Served::Answered) => "web.responses",
+                Ok(Served::Empty) => "web.connections.empty",
+                Err(PlatformError::Timeout(_)) => "web.timeouts",
+                Err(_) => "web.errors",
+            };
+            self.step_busy(-1);
+            self.telemetry().incr(counter);
+        }
+    }
+
+    fn step_busy(&self, delta: i64) {
+        let mut busy = self.busy.lock().unwrap_or_else(|e| e.into_inner());
+        *busy = busy.saturating_add_signed(delta);
+        self.platform
+            .obs()
+            .metrics()
+            .set_gauge("web.workers.busy", *busy);
+    }
+
+    /// One connection, start to finish: read the head, admit, route,
+    /// write. `conn` — and with it the admission slot — is dropped on
+    /// return, after the response is written.
+    fn serve(&self, mut conn: Conn) -> Result<Served, PlatformError> {
+        let platform: &Platform = &self.platform;
+        let metrics = platform.obs().metrics();
+        let dequeued_us = metrics.now_micros();
+        let queue_us = dequeued_us.saturating_sub(conn.accepted_us);
+        metrics.observe("web.queue_wait", queue_us);
+
+        let mut stream: &TcpStream = &conn.stream;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| io_error("configuring socket", e))?;
+        stream
+            .set_read_timeout(Some(self.config.read_timeout))
+            .map_err(|e| io_error("setting read timeout", e))?;
+        stream
+            .set_write_timeout(Some(self.config.write_timeout))
+            .map_err(|e| io_error("setting write timeout", e))?;
+
+        let head =
+            read_head(&mut BufReader::new(stream)).map_err(|e| io_error("reading request", e))?;
+        let (response, parsed_us) = match head {
+            Head::Empty => return Ok(Served::Empty),
+            Head::Oversize => {
+                self.telemetry().incr("web.rejected.oversize");
+                (Response::header_fields_too_large(), metrics.now_micros())
+            }
+            Head::Request { line, headers } => {
+                let request = Request::parse(&line, &headers);
+                let parsed_us = metrics.now_micros();
+                let response = match request {
+                    Some(request) => {
+                        // An admitted request gets its slot back, to
+                        // hold until the response is written.
+                        let (response, slot) = respond(platform, &request, conn.slot.take());
+                        conn.slot = slot;
+                        response
+                    }
+                    None => Response::bad_request("unsupported request"),
+                };
+                (response, parsed_us)
+            }
+        };
+        let handled_us = metrics.now_micros();
+
+        let timing = server_timing(
+            platform.obs(),
+            queue_us,
+            parsed_us.saturating_sub(dequeued_us),
+            handled_us.saturating_sub(parsed_us),
+            response.trace_id,
+        );
+        let written = stream.write_all(&response.to_bytes(Some(&timing)));
+        metrics.observe("web.write", metrics.now_micros().saturating_sub(handled_us));
+        written
+            .map(|()| Served::Answered)
+            .map_err(|e| io_error("writing response", e))
+    }
+}
+
+/// The `Server-Timing` value for one socket request: the three stages
+/// the worker timed before writing, in milliseconds, then — when the
+/// request was traced — each direct child span of its `web.request`
+/// span, in completion order.
+fn server_timing(
+    obs: &lodify_obs::Obs,
+    queue_us: u64,
+    parse_us: u64,
+    handle_us: u64,
+    trace_id: Option<u64>,
+) -> String {
+    use std::fmt::Write as _;
+    let ms = |us: u64| us as f64 / 1e3;
+    let mut out = format!(
+        "queue;dur={:.3}, parse;dur={:.3}, handle;dur={:.3}",
+        ms(queue_us),
+        ms(parse_us),
+        ms(handle_us)
+    );
+    let spans = trace_id
+        .and_then(|id| obs.traces().spans(id))
+        .unwrap_or_default();
+    if let Some(root) = spans.iter().find(|s| s.parent_id.is_none()) {
+        for child in spans.iter().filter(|s| s.parent_id == Some(root.span_id)) {
+            let _ = write!(out, ", {};dur={:.3}", child.name, ms(child.duration_us()));
+        }
+    }
+    out
+}
+
+/// Reads one `\n`-terminated line into `line`, buffering at most
+/// `limit + 1` bytes; `Ok(false)` when the line is longer than `limit`
+/// bytes (terminator included). End of stream ends a line too.
+fn read_line_bounded(
+    reader: &mut impl BufRead,
+    limit: usize,
+    line: &mut Vec<u8>,
+) -> std::io::Result<bool> {
+    line.clear();
+    reader
+        .by_ref()
+        .take(limit as u64 + 1)
+        .read_until(b'\n', line)?;
+    Ok(line.len() <= limit)
+}
+
+/// Reads a request head — request line, then headers up to the blank
+/// line or the end of the stream — within [`MAX_REQUEST_LINE`],
+/// [`MAX_HEADER_LINES`] and [`MAX_HEADER_BYTES`]. Bytes that are not
+/// UTF-8 are replaced, not refused: the request parser decides.
+fn read_head(reader: &mut impl BufRead) -> std::io::Result<Head> {
+    let mut raw = Vec::new();
+    if !read_line_bounded(reader, MAX_REQUEST_LINE, &mut raw)? {
+        return Ok(Head::Oversize);
+    }
+    if raw.is_empty() {
+        return Ok(Head::Empty);
+    }
+    let line = String::from_utf8_lossy(&raw).trim_end().to_string();
+    let mut headers = Vec::new();
+    let mut budget = MAX_HEADER_BYTES;
+    for _ in 0..=MAX_HEADER_LINES {
+        if !read_line_bounded(reader, budget, &mut raw)? {
+            return Ok(Head::Oversize);
+        }
+        budget -= raw.len();
+        let text = String::from_utf8_lossy(&raw);
+        let text = text.trim_end();
+        if text.is_empty() {
+            return Ok(Head::Request { line, headers });
+        }
+        if let Some((name, value)) = text.split_once(':') {
+            headers.push((name.trim().to_string(), value.trim().to_string()));
+        }
+    }
+    Ok(Head::Oversize)
 }
 
 /// Classifies an I/O error: deadline expiries become the typed
@@ -885,52 +1305,6 @@ fn io_error(context: &str, e: std::io::Error) -> PlatformError {
     }
 }
 
-fn handle_connection(
-    platform: &Platform,
-    mut stream: TcpStream,
-    config: &ServerConfig,
-) -> Result<(), PlatformError> {
-    stream
-        .set_nonblocking(false)
-        .map_err(|e| io_error("configuring socket", e))?;
-    stream
-        .set_read_timeout(Some(config.read_timeout))
-        .map_err(|e| io_error("setting read timeout", e))?;
-    stream
-        .set_write_timeout(Some(config.write_timeout))
-        .map_err(|e| io_error("setting write timeout", e))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| io_error("cloning stream", e))?,
-    );
-    let mut request_line = String::new();
-    reader
-        .read_line(&mut request_line)
-        .map_err(|e| io_error("reading request line", e))?;
-    let mut headers = Vec::new();
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| io_error("reading headers", e))?;
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            headers.push((name.trim().to_string(), value.trim().to_string()));
-        }
-    }
-    let response = match Request::parse(request_line.trim_end(), &headers) {
-        Some(request) => handle_request(platform, &request),
-        None => Response::bad_request("unsupported request"),
-    };
-    response
-        .write_to(&mut stream)
-        .map_err(|e| io_error("writing response", e))
-}
-
 /// Percent-decodes a URL component (`+` is a space).
 pub fn url_decode(text: &str) -> String {
     let bytes = text.as_bytes();
@@ -942,20 +1316,16 @@ pub fn url_decode(text: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                if i + 2 < bytes.len() {
-                    if let Ok(byte) = u8::from_str_radix(
-                        std::str::from_utf8(&bytes[i + 1..i + 3]).unwrap_or(""),
-                        16,
-                    ) {
-                        out.push(byte);
-                        i += 3;
-                        continue;
-                    }
+            b'%' => match bytes.get(i + 1..i + 3).and_then(hex_byte) {
+                Some(byte) => {
+                    out.push(byte);
+                    i += 3;
                 }
-                out.push(b'%');
-                i += 1;
-            }
+                None => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -963,6 +1333,12 @@ pub fn url_decode(text: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The byte two hex digits spell; `None` for anything else.
+fn hex_byte(digits: &[u8]) -> Option<u8> {
+    let value = |digit: u8| (digit as char).to_digit(16);
+    Some((value(digits[0])? * 16 + value(digits[1])?) as u8)
 }
 
 /// Percent-encodes a URL component.
@@ -1406,6 +1782,20 @@ mod tests {
     }
 
     #[test]
+    fn url_decode_keeps_malformed_escapes_literal() {
+        for (text, decoded) in [
+            ("100%", "100%"),
+            ("%4", "%4"),
+            ("%zz", "%zz"),
+            ("%+4", "% 4"),
+            ("%4g%41", "%4gA"),
+            ("a%20b%", "a b%"),
+        ] {
+            assert_eq!(url_decode(text), decoded, "{text}");
+        }
+    }
+
+    #[test]
     fn html_escaping() {
         assert_eq!(
             escape_html("<b>&\"x\"</b>"),
@@ -1413,21 +1803,131 @@ mod tests {
         );
     }
 
+    // -----------------------------------------------------------------
+    // over real sockets
+    // -----------------------------------------------------------------
+
+    use lodify_obs::{Clock, WallClock};
+    use lodify_resilience::DetRng;
+    use std::time::Duration;
+
+    /// A response as it came off the wire.
+    struct Wire {
+        status: u16,
+        headers: Vec<(String, String)>,
+        body: String,
+    }
+
+    impl Wire {
+        /// `None` unless `raw` is one complete, well-formed response:
+        /// status line, headers, `Connection: close`, and a body of
+        /// exactly `Content-Length` bytes.
+        fn parse(raw: &[u8]) -> Option<Wire> {
+            let raw = std::str::from_utf8(raw).ok()?;
+            let (head, body) = raw.split_once("\r\n\r\n")?;
+            let mut lines = head.split("\r\n");
+            let mut status_line = lines.next()?.splitn(3, ' ');
+            if status_line.next()? != "HTTP/1.1" {
+                return None;
+            }
+            let status = status_line.next()?.parse().ok()?;
+            status_line.next().filter(|reason| !reason.is_empty())?;
+            let headers: Vec<(String, String)> = lines
+                .map(|line| {
+                    let (name, value) = line.split_once(": ")?;
+                    Some((name.to_string(), value.to_string()))
+                })
+                .collect::<Option<_>>()?;
+            let wire = Wire {
+                status,
+                headers,
+                body: body.to_string(),
+            };
+            let complete = wire.header("Content-Length")?.parse() == Ok(wire.body.len())
+                && wire.header("Connection")? == "close";
+            complete.then_some(wire)
+        }
+
+        fn header(&self, name: &str) -> Option<&str> {
+            self.headers
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.as_str())
+        }
+
+        /// The `Server-Timing` entries, `(name, milliseconds)`.
+        fn server_timing(&self) -> Vec<(String, f64)> {
+            self.header("Server-Timing")
+                .expect("Server-Timing header")
+                .split(", ")
+                .map(|entry| {
+                    let (name, dur) = entry.split_once(";dur=").expect("name;dur=ms");
+                    (name.to_string(), dur.parse().expect("milliseconds"))
+                })
+                .collect()
+        }
+    }
+
+    /// Sends `bytes` on a fresh connection and returns what came back
+    /// before the server closed (a reset after the response counts as
+    /// a close, so write and read errors end the exchange quietly).
+    fn exchange(addr: std::net::SocketAddr, bytes: &[u8]) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let _ = stream.write_all(bytes);
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        raw
+    }
+
+    fn fetch(addr: std::net::SocketAddr, target: &str) -> Wire {
+        let raw = exchange(
+            addr,
+            format!("GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").as_bytes(),
+        );
+        Wire::parse(&raw)
+            .unwrap_or_else(|| panic!("{target}: malformed {:?}", String::from_utf8_lossy(&raw)))
+    }
+
+    /// Polls until `done` holds; panics after ten seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let clock = WallClock::new();
+        while !done() {
+            assert!(clock.now_micros() < 10_000_000, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// How the `accepted` connections made to the server so far ended,
+    /// as `[responses, empty, timeouts, errors]`, once all of them have.
+    fn settled(server: &WebServer, accepted: u64) -> [u64; 4] {
+        let counts = || {
+            [
+                "web.responses",
+                "web.connections.empty",
+                "web.timeouts",
+                "web.errors",
+            ]
+            .map(|name| server.telemetry().counter(name))
+        };
+        wait_until("every connection accounted for", || {
+            counts().iter().sum::<u64>() == accepted
+        });
+        assert_eq!(server.telemetry().counter("web.connections"), accepted);
+        counts()
+    }
+
     #[test]
     fn live_server_round_trip() {
-        use std::io::{Read, Write};
         let p = Arc::new(platform());
         let server = WebServer::start(p, 0).unwrap();
-        let addr = server.addr();
-
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET /search?q=Turin HTTP/1.1\r\nHost: localhost\r\nUser-Agent: test\r\n\r\n"
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        let raw = exchange(
+            server.addr(),
+            b"GET /search?q=Turin HTTP/1.1\r\nHost: localhost\r\nUser-Agent: test\r\n\r\n",
+        );
+        let response = String::from_utf8(raw).unwrap();
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("X-Request-Id: "), "{response}");
         assert!(response.contains("Turin"));
@@ -1437,27 +1937,414 @@ mod tests {
     #[test]
     fn silent_clients_hit_the_configured_read_timeout() {
         let p = Arc::new(platform());
+        let pid = p.picture_ids()[0];
+        let read_timeout = Duration::from_millis(1_600);
         let server = WebServer::start_with_config(
             p,
             0,
             ServerConfig {
-                read_timeout: std::time::Duration::from_millis(40),
-                write_timeout: std::time::Duration::from_millis(40),
+                read_timeout,
+                write_timeout: read_timeout,
             },
         )
         .unwrap();
-        // Connect and send nothing: the read deadline must fire and be
-        // recorded as a typed timeout, not a generic error.
-        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
-        for _ in 0..200 {
-            if server.telemetry().counter("web.timeouts") >= 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+        // Connect and send nothing: one worker now waits out the read
+        // deadline. Everybody else must not.
+        let silent = TcpStream::connect(server.addr()).unwrap();
+        let clock = WallClock::new();
+        for _ in 0..8 {
+            assert_eq!(fetch(server.addr(), &format!("/picture/{pid}")).status, 200);
         }
-        assert_eq!(server.telemetry().counter("web.timeouts"), 1);
-        assert_eq!(server.telemetry().counter("web.errors"), 0);
-        drop(stream);
+        let elapsed = Duration::from_micros(clock.now_micros());
+        assert!(
+            elapsed < read_timeout / 4,
+            "8 requests beside a silent client took {elapsed:?}"
+        );
+        // The deadline fires once and is recorded as a typed timeout,
+        // not a generic error.
+        assert_eq!(settled(&server, 9), [8, 0, 1, 0]);
+        drop(silent);
+        server.stop();
+    }
+
+    #[test]
+    fn empty_connections_are_dropped_silently() {
+        let p = Arc::new(platform());
+        let server = WebServer::start(p, 0).unwrap();
+        for _ in 0..3 {
+            drop(TcpStream::connect(server.addr()).unwrap());
+        }
+        assert_eq!(settled(&server, 3), [0, 3, 0, 0]);
+        assert_eq!(fetch(server.addr(), "/").status, 200);
+        server.stop();
+    }
+
+    #[test]
+    fn oversize_heads_are_refused_with_431() {
+        let p = Arc::new(platform());
+        let pid = p.picture_ids()[0];
+        let server = WebServer::start(p, 0).unwrap();
+        let long_line = format!("GET /search?q={} HTTP/1.1\r\n\r\n", "a".repeat(9_000));
+        let many_headers = format!("GET / HTTP/1.1\r\n{}\r\n", "X-Pad: 1\r\n".repeat(65));
+        let fat_headers = format!(
+            "GET / HTTP/1.1\r\n{}\r\n",
+            format!("X-Pad: {}\r\n", "b".repeat(4_000)).repeat(9)
+        );
+        for head in [&long_line, &many_headers, &fat_headers] {
+            let raw = exchange(server.addr(), head.as_bytes());
+            let wire = Wire::parse(&raw).expect("a complete response");
+            assert_eq!(wire.status, 431);
+            assert!(String::from_utf8_lossy(&raw)
+                .starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"));
+        }
+        // Right at the limits is still served.
+        let at_limit = format!("GET / HTTP/1.1\r\n{}\r\n", "X-Pad: 1\r\n".repeat(64));
+        assert_eq!(
+            Wire::parse(&exchange(server.addr(), at_limit.as_bytes()))
+                .unwrap()
+                .status,
+            200
+        );
+        assert_eq!(fetch(server.addr(), &format!("/picture/{pid}")).status, 200);
+        assert_eq!(server.telemetry().counter("web.rejected.oversize"), 3);
+        assert_eq!(settled(&server, 5), [5, 0, 0, 0]);
+        server.stop();
+    }
+
+    #[test]
+    fn read_head_buffers_a_bounded_amount() {
+        // An endless line: refused after MAX_REQUEST_LINE + 1 bytes.
+        let mut endless = std::io::BufReader::new(std::io::repeat(b'a'));
+        assert_eq!(read_head(&mut endless).unwrap(), Head::Oversize);
+        // Endless headers: refused within the byte budget.
+        let endless = b"GET / HTTP/1.1\r\n"
+            .chain(std::io::repeat(b'h'))
+            .take(1 << 30);
+        let mut counted = CountingReader {
+            inner: endless,
+            read: 0,
+        };
+        assert_eq!(
+            read_head(&mut std::io::BufReader::new(&mut counted)).unwrap(),
+            Head::Oversize
+        );
+        // BufReader reads ahead by its own (8 KiB) buffer at most.
+        assert!(counted.read <= MAX_HEADER_BYTES + 2 * MAX_REQUEST_LINE + 2);
+        assert_eq!(read_head(&mut &b""[..]).unwrap(), Head::Empty);
+        // The stream ending mid-head ends the head.
+        assert_eq!(
+            read_head(&mut &b"GET / HTTP/1.1\r\nX-Tenant: a"[..]).unwrap(),
+            Head::Request {
+                line: "GET / HTTP/1.1".to_string(),
+                headers: vec![("X-Tenant".to_string(), "a".to_string())],
+            }
+        );
+    }
+
+    struct CountingReader<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for CountingReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// Arbitrary and mutated-valid request heads: every exchange ends
+    /// in one well-formed response or a clean close, no worker dies,
+    /// and the server still serves afterwards.
+    #[test]
+    fn fuzzed_request_heads_never_break_the_server() {
+        let mut p = platform();
+        p.enable_admission(crate::admission::AdmissionConfig {
+            tenant_rate_per_sec: 1e9,
+            tenant_burst: 1e9,
+            ..Default::default()
+        });
+        let p = Arc::new(p);
+        let pids = p.picture_ids();
+        let server = WebServer::start_with_config(
+            Arc::clone(&p),
+            0,
+            ServerConfig {
+                // Heads cut short of their blank line wait this long.
+                read_timeout: Duration::from_millis(30),
+                write_timeout: Duration::from_secs(2),
+            },
+        )
+        .unwrap();
+        let valid: Vec<String> = [
+            "/".to_string(),
+            "/search?q=Tur&limit=3".to_string(),
+            format!("/picture/{}", pids[0]),
+            "/album?monument=Mole+Antonelliana&lang=it&radius=0.3".to_string(),
+            "/resource?iri=http%3A%2F%2Fdbpedia.org%2Fresource%2FTurin".to_string(),
+            "/trace/00000000000000aa".to_string(),
+            "/subscriptions".to_string(),
+        ]
+        .iter()
+        .map(|target| {
+            format!("GET {target} HTTP/1.1\r\nHost: localhost\r\nX-Tenant: fuzz\r\nUser-Agent: Mobile\r\n\r\n")
+        })
+        .collect();
+
+        let mut rng = DetRng::seed_from_u64(0x5eed_f022);
+        let mut answered = 0u64;
+        let cases = 300u64;
+        for case in 0..cases {
+            let mut head: Vec<u8> = if rng.random_bool(0.25) {
+                let len = rng.random_range(0..600usize);
+                (0..len).map(|_| rng.next_u64() as u8).collect()
+            } else {
+                valid[rng.random_range(0..valid.len())].clone().into_bytes()
+            };
+            for _ in 0..rng.random_range(0..4usize) {
+                if head.is_empty() {
+                    break;
+                }
+                let at = rng.random_range(0..head.len());
+                match rng.random_range(0..5u32) {
+                    0 => head[at] = rng.next_u64() as u8,
+                    1 => {
+                        head.remove(at);
+                    }
+                    2 => head.truncate(at),
+                    3 => {
+                        let byte = [b'%', b'\n', b'\r', b':', b' ', b'?', b'&', 0xff]
+                            [rng.random_range(0..8usize)];
+                        head.insert(at, byte);
+                    }
+                    _ => {
+                        let run = rng.random_range(1..40_000usize);
+                        let filler = vec![head[at]; run];
+                        head.splice(at..at, filler);
+                    }
+                }
+            }
+            let raw = exchange(server.addr(), &head);
+            if !raw.is_empty() {
+                let shown = String::from_utf8_lossy(&head);
+                let wire = Wire::parse(&raw).unwrap_or_else(|| {
+                    panic!(
+                        "case {case}: {shown:?} got malformed {:?}",
+                        String::from_utf8_lossy(&raw)
+                    )
+                });
+                assert!(
+                    [200, 400, 404, 431].contains(&wire.status),
+                    "case {case}: {shown:?} got {}",
+                    wire.status
+                );
+                answered += 1;
+            }
+        }
+        assert!(answered > cases / 2, "only {answered} of {cases} answered");
+        for pid in pids.iter().take(4) {
+            assert_eq!(fetch(server.addr(), &format!("/picture/{pid}")).status, 200);
+        }
+        let [responses, _empty, _timeouts, errors] = settled(&server, cases + 4);
+        assert_eq!(responses, answered + 4);
+        assert_eq!(errors, 0);
+        // However a connection ended, it gave its admission slot back.
+        assert_eq!(p.admission().unwrap().queue_depth(), 0);
+        // A worker that panicked would surface here.
+        server.stop();
+    }
+
+    /// The pool serves exactly what an in-process call serves.
+    #[test]
+    fn pooled_responses_equal_in_process_responses() {
+        let p = Arc::new(platform());
+        let pids = p.picture_ids();
+        let mut rng = DetRng::seed_from_u64(12);
+        let targets: Vec<String> = (0..240)
+            .map(|_| {
+                let pid = pids[rng.random_range(0..pids.len())];
+                match rng.random_range(0..9u32) {
+                    0 => "/".to_string(),
+                    1 => format!(
+                        "/search?q={}",
+                        ["Tur", "Mol", "Pia", "x"][rng.random_range(0..4usize)]
+                    ),
+                    2 => format!(
+                        "/album?monument=Mole+Antonelliana&lang=it&radius=0.{}",
+                        rng.random_range(1..4u32)
+                    ),
+                    3 => format!(
+                        "/resource?iri={}",
+                        url_encode("http://dbpedia.org/resource/Mole_Antonelliana")
+                    ),
+                    4 => format!("/about/{pid}"),
+                    5 => "/picture/none".to_string(),
+                    6 => format!("/nope/{pid}"),
+                    _ => format!("/picture/{pid}"),
+                }
+            })
+            .collect();
+        let expected: Vec<Response> = targets
+            .iter()
+            .map(|target| {
+                let request = Request::parse(&format!("GET {target} HTTP/1.1"), &[]).unwrap();
+                handle_request(&p, &request)
+            })
+            .collect();
+
+        let server = WebServer::start(Arc::clone(&p), 0).unwrap();
+        let addr = server.addr();
+        const CLIENTS: usize = 8;
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let (targets, expected) = (&targets, &expected);
+                scope.spawn(move || {
+                    for i in (client..targets.len()).step_by(CLIENTS) {
+                        let wire = fetch(addr, &targets[i]);
+                        assert_eq!(wire.status, expected[i].status, "{}", targets[i]);
+                        assert_eq!(wire.body, expected[i].body, "{}", targets[i]);
+                        assert_eq!(wire.header("Content-Type"), Some(expected[i].content_type));
+                    }
+                });
+            }
+        });
+        let served = targets.len() as u64;
+        assert_eq!(settled(&server, served), [served, 0, 0, 0]);
+        server.stop();
+    }
+
+    #[test]
+    fn stop_is_prompt_idle_or_backlogged_and_frees_the_port() {
+        let p = Arc::new(platform());
+        let budget = Duration::from_millis(200);
+
+        let idle = WebServer::start(Arc::clone(&p), 0).unwrap();
+        let port = idle.addr().port();
+        let clock = WallClock::new();
+        idle.stop();
+        let elapsed = Duration::from_micros(clock.now_micros());
+        assert!(elapsed < budget, "idle stop took {elapsed:?}");
+
+        // Same port, default 2 s read timeout: silent connections hold
+        // every worker and more wait in the queue behind them.
+        let backlogged = WebServer::start(Arc::clone(&p), port).unwrap();
+        let connections = backlogged.telemetry().counter("web.connections");
+        let silent: Vec<TcpStream> = (0..12)
+            .map(|_| TcpStream::connect(backlogged.addr()).unwrap())
+            .collect();
+        wait_until("the backlog is accepted", || {
+            backlogged.telemetry().counter("web.connections") == connections + 12
+        });
+        let clock = WallClock::new();
+        backlogged.stop();
+        let elapsed = Duration::from_micros(clock.now_micros());
+        assert!(elapsed < budget, "backlogged stop took {elapsed:?}");
+        assert_eq!(p.obs().metrics().counter("web.timeouts"), 0);
+        drop(silent);
+
+        let again = WebServer::start(Arc::clone(&p), port).unwrap();
+        assert_eq!(fetch(again.addr(), "/").status, 200);
+        again.stop();
+    }
+
+    #[test]
+    fn server_timing_agrees_with_the_access_log() {
+        let p = Arc::new(platform());
+        let server = WebServer::start(Arc::clone(&p), 0).unwrap();
+        let target = "/album?monument=Mole+Antonelliana&lang=it&radius=0.3";
+        let clock = WallClock::new();
+        let wire = fetch(server.addr(), target);
+        let round_trip_ms = clock.now_micros() as f64 / 1e3;
+        assert_eq!(wire.status, 200);
+
+        let timing = wire.server_timing();
+        let names: Vec<&str> = timing.iter().map(|(name, _)| name.as_str()).collect();
+        // The three stages, then the request's child span: the view,
+        // under which the cold solve's `sparql` span nests.
+        assert_eq!(names, ["queue", "parse", "handle", "album.view"]);
+        let dur = |name: &str| timing.iter().find(|(n, _)| n == name).unwrap().1;
+        let staged_ms = dur("queue") + dur("parse") + dur("handle");
+        assert!(
+            staged_ms <= round_trip_ms,
+            "stages {staged_ms} ms exceed the round trip {round_trip_ms} ms"
+        );
+        assert!(dur("album.view") <= dur("handle"));
+
+        // `handle` is the access log's duration plus the few lines
+        // around it; `/ops` shows the same entry.
+        let entry = p.obs().access_log().recent(1).pop().unwrap();
+        assert_eq!(
+            wire.header("X-Request-Id"),
+            Some(entry.request_id.to_string().as_str())
+        );
+        let logged_ms = entry.duration_us as f64 / 1e3;
+        assert!(
+            logged_ms <= dur("handle") && dur("handle") - logged_ms < 5.0,
+            "handle {} ms vs access log {logged_ms} ms",
+            dur("handle")
+        );
+        let ops = fetch(server.addr(), "/ops");
+        let line = format!(
+            "#{} 200 {} {}us",
+            entry.request_id, entry.target, entry.duration_us
+        );
+        assert!(ops.body.contains(&line), "missing {line:?} in {}", ops.body);
+        assert!(ops.body.contains("serving: workers busy=1"), "{}", ops.body);
+
+        // Traced requests whose routes start no span list no children.
+        let plain = fetch(server.addr(), "/").server_timing();
+        assert_eq!(plain.len(), 3);
+
+        settled(&server, 3);
+        for name in ["web.queue_wait", "web.write"] {
+            assert_eq!(
+                p.obs().metrics().histogram(name).unwrap().count(),
+                3,
+                "{name}"
+            );
+        }
+        server.stop();
+    }
+
+    /// The socket half of the golden exposition: every series the
+    /// serving path writes.
+    #[test]
+    fn metrics_route_exposes_the_serving_path() {
+        let p = Arc::new(platform());
+        let server = WebServer::start(p, 0).unwrap();
+        assert_eq!(fetch(server.addr(), "/").status, 200);
+        drop(TcpStream::connect(server.addr()).unwrap());
+        let oversize = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE));
+        assert_eq!(
+            Wire::parse(&exchange(server.addr(), oversize.as_bytes()))
+                .unwrap()
+                .status,
+            431
+        );
+        settled(&server, 3);
+
+        let metrics = fetch(server.addr(), "/metrics");
+        for line in [
+            "# TYPE lodify_web_connections_total counter",
+            "lodify_web_connections_total 4",
+            "lodify_web_responses_total 2",
+            "lodify_web_connections_empty_total 1",
+            "lodify_web_rejected_oversize_total 1",
+            "# TYPE lodify_web_workers_busy gauge",
+            "lodify_web_workers_busy 1",
+            "# TYPE lodify_web_queue_wait_seconds histogram",
+            "lodify_web_queue_wait_seconds_count 4",
+            "# TYPE lodify_web_write_seconds histogram",
+            "lodify_web_write_seconds_count 2",
+            "lodify_web_request_seconds_count 1",
+        ] {
+            assert!(
+                metrics.body.contains(line),
+                "missing {line:?} in:\n{}",
+                metrics.body
+            );
+        }
         server.stop();
     }
 

@@ -36,7 +36,7 @@ pub use slowlog::{
     SlowQueryEntry, SlowQueryLog, DEFAULT_SLOW_LOG_CAPACITY, DEFAULT_SLOW_THRESHOLD_US,
 };
 pub use trace::{
-    spans_well_nested, Span, SpanRecord, TraceContext, TraceStore, Tracer,
+    spans_well_nested, Entered, Span, SpanRecord, TraceContext, TraceStore, Tracer,
     DEFAULT_TRACE_STORE_CAPACITY,
 };
 

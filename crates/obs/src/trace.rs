@@ -22,17 +22,33 @@
 //! can be branded with a 16-bit node salt ([`Tracer::set_node`]) that
 //! occupies the top bits of every minted id.
 //!
+//! Within one thread the parent link can also travel implicitly:
+//! [`Span::enter`] makes a span the thread's *ambient* parent, and
+//! until the returned guard drops, [`Tracer::start`] on that thread
+//! opens children of it instead of new traces. The web layer enters
+//! its `web.request` span around routing, which is how `album.view`
+//! and `sparql` spans — started layers below, through signatures that
+//! carry no context — land in the request's tree.
+//!
 //! Timing goes through the [`Clock`](crate::clock::Clock)
 //! abstraction: production tracers
 //! read wall time, chaos tests install a
 //! [`lodify_resilience::VirtualClock`] and get deterministic traces.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::{SharedClock, WallClock};
 use crate::registry::Metrics;
+
+thread_local! {
+    /// The span [`Tracer::start`] parents under on this thread, set by
+    /// [`Span::enter`].
+    static AMBIENT: Cell<Option<TraceContext>> = const { Cell::new(None) };
+}
 
 /// A portable causal reference: enough to start a child span of an
 /// operation that ran elsewhere (another thread, another node).
@@ -182,10 +198,15 @@ impl Tracer {
         lock(&self.brand).salt | seq
     }
 
-    /// Starts a new trace: a root span with a fresh trace id.
+    /// Starts a new trace: a root span with a fresh trace id — or,
+    /// while a span is [entered](Span::enter) on this thread, a child
+    /// of that span.
     pub fn start(&self, name: &str) -> Span {
         if !self.is_enabled() {
             return Span::inert(self.clone());
+        }
+        if let Some(ctx) = AMBIENT.get() {
+            return self.span_with(ctx.trace_id, Some(ctx.parent_span_id), name);
         }
         let trace_id = self.mint_id();
         self.span_with(trace_id, None, name)
@@ -317,6 +338,18 @@ impl Span {
             .span_with(self.trace_id, Some(self.span_id), name)
     }
 
+    /// Makes this span the ambient parent on the current thread until
+    /// the guard drops (the previous ambient parent, if any, comes
+    /// back then): [`Tracer::start`] calls made meanwhile on this
+    /// thread join this span's trace as its children. An inert span
+    /// clears the ambient parent for the guard's lifetime.
+    pub fn enter(&self) -> Entered {
+        Entered {
+            previous: AMBIENT.replace(self.context()),
+            _this_thread: PhantomData,
+        }
+    }
+
     /// Ends the span, recording it.
     pub fn finish(mut self) {
         self.finish_in_place();
@@ -343,6 +376,20 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         self.finish_in_place();
+    }
+}
+
+/// Guard of [`Span::enter`]; restores the previous ambient parent on
+/// drop. Tied to the thread that entered (`!Send`).
+#[derive(Debug)]
+pub struct Entered {
+    previous: Option<TraceContext>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        AMBIENT.set(self.previous);
     }
 }
 
@@ -611,6 +658,59 @@ mod tests {
         assert_eq!(child_rec.duration_us(), 3_000);
         assert_eq!(root_rec.parent_id, None);
         assert_eq!(root_rec.duration_us(), 6_000);
+    }
+
+    #[test]
+    fn entered_spans_adopt_the_spans_started_below_them() {
+        let tracer = Tracer::new(16);
+        let root = tracer.start("web.request");
+        {
+            let _request = root.enter();
+            let view = tracer.start("album.view");
+            {
+                let _view = view.enter();
+                tracer.start("sparql").finish();
+            }
+            view.finish();
+            // The inner guard restored the outer parent.
+            tracer.start("mashup").finish();
+        }
+        let (trace, root_id) = (root.trace_id(), root.span_id());
+        root.finish();
+        // Nothing is entered any more: a fresh trace.
+        tracer.start("upload").finish();
+
+        let spans = tracer.recent_spans(16);
+        let parent_of = |name: &str| {
+            let span = spans.iter().find(|s| s.name == name).unwrap();
+            (span.trace_id == trace, span.parent_id)
+        };
+        let view_id = spans
+            .iter()
+            .find(|s| s.name == "album.view")
+            .unwrap()
+            .span_id;
+        assert_eq!(parent_of("album.view"), (true, Some(root_id)));
+        assert_eq!(parent_of("sparql"), (true, Some(view_id)));
+        assert_eq!(parent_of("mashup"), (true, Some(root_id)));
+        assert_eq!(parent_of("upload"), (false, None));
+        assert!(spans_well_nested(
+            &spans
+                .iter()
+                .filter(|s| s.trace_id == trace)
+                .cloned()
+                .collect::<Vec<_>>()
+        ));
+        // Entering is per thread.
+        let root = tracer.start("web.request");
+        let _request = root.enter();
+        let elsewhere = std::thread::scope(|scope| {
+            scope
+                .spawn(|| tracer.start("other").trace_id())
+                .join()
+                .unwrap()
+        });
+        assert_ne!(elsewhere, root.trace_id());
     }
 
     #[test]

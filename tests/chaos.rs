@@ -1,7 +1,10 @@
 //! Chaos suite: scripted fault plans drive resolver, upload and
 //! federation failures over virtual time. Every scenario is fully
 //! deterministic — seeded RNG, virtual clock, no wall-clock sleeps —
-//! so a failure here is a logic bug, never flake.
+//! so a failure here is a logic bug, never flake. The one exception is
+//! `overload`'s socket test, which exists to show the simulated
+//! overload result on a wall clock; it asserts orderings that hold
+//! however slowly the host runs, never durations.
 
 use lodify::core::deferred::UploadQueue;
 use lodify::core::federation::{Federation, Notification};
@@ -1317,6 +1320,148 @@ mod overload {
     use lodify::resilience::{BreakerState, FaultPlan, VirtualClock};
 
     use super::{faulty_annotator, lod_store};
+
+    /// One `GET` on a fresh connection, sent now and read later, so a
+    /// single thread can keep many requests in the server's queue.
+    struct Pending(std::net::TcpStream);
+
+    impl Pending {
+        fn send(addr: std::net::SocketAddr, target: &str) -> Pending {
+            use std::io::Write;
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+                .unwrap();
+            write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+            Pending(stream)
+        }
+
+        /// Status and body, once the server has answered and closed.
+        fn finish(mut self) -> (u16, String) {
+            use std::io::Read;
+            let mut raw = String::new();
+            self.0.read_to_string(&mut raw).unwrap();
+            let (head, body) = raw.split_once("\r\n\r\n").expect("a response head");
+            let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+            (status.expect("a status line"), body.to_string())
+        }
+    }
+
+    /// E23's simulated storm, on a wall-clock socket. Depth is now the
+    /// number of accepted-but-unanswered connections, so silent
+    /// connections in front of and behind a burst of requests hold it
+    /// past `shed_depth` while the burst is served: the expensive class
+    /// is shed from real queue depth, ordinary pages and `/ops` are
+    /// not, and the verdict recovers once the queue drains and the
+    /// shed window elapses — no restart, no virtual clock.
+    #[test]
+    fn overload_on_a_real_socket_sheds_expensive_first_and_recovers() {
+        use lodify::core::web::{ServerConfig, WebServer};
+        use std::time::Duration;
+
+        let mut platform = Platform::bootstrap(WorkloadConfig::small(17)).unwrap();
+        let shed_window = Duration::from_millis(300);
+        platform.enable_admission(AdmissionConfig {
+            tenant_rate_per_sec: 1e9,
+            tenant_burst: 1e9,
+            shed_depth: 4,
+            hard_depth: 64,
+            recent_shed_window_ms: shed_window.as_millis() as u64,
+        });
+        let platform = Arc::new(platform);
+        let pid = platform.picture_ids()[0];
+        let read_timeout = Duration::from_millis(500);
+        let server = WebServer::start_with_config(
+            Arc::clone(&platform),
+            0,
+            ServerConfig {
+                read_timeout,
+                write_timeout: Duration::from_secs(2),
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let connect = || std::net::TcpStream::connect(addr).unwrap();
+
+        // Healthy before the storm.
+        let (status, ops) = Pending::send(addr, "/ops").finish();
+        assert_eq!(status, 200);
+        assert!(ops.contains("status: healthy"), "{ops}");
+        assert_eq!(
+            Pending::send(addr, &format!("/about/{pid}")).finish().0,
+            200
+        );
+
+        // The storm, in queue order: silent connections that hold
+        // every worker (at most 8) until the read deadline, the
+        // flood, and six more silent connections that keep the depth
+        // past `shed_depth` until the last flood request is answered.
+        let front: Vec<_> = (0..8).map(|_| connect()).collect();
+        let mut flood = vec![Pending::send(addr, "/ops")];
+        for _ in 0..6 {
+            flood.push(Pending::send(addr, &format!("/about/{pid}")));
+            flood.push(Pending::send(addr, &format!("/picture/{pid}")));
+        }
+        flood.push(Pending::send(addr, "/ops"));
+        let back: Vec<_> = (0..6).map(|_| connect()).collect();
+
+        let answers: Vec<(u16, String)> = flood.into_iter().map(Pending::finish).collect();
+        let (ops, pages) = (
+            [&answers[0], &answers[answers.len() - 1]],
+            &answers[1..answers.len() - 1],
+        );
+        for (about, picture) in pages.iter().step_by(2).zip(pages.iter().skip(1).step_by(2)) {
+            assert_eq!(about.0, 503, "expensive work is shed first: {}", about.1);
+            assert_eq!(picture.0, 200, "ordinary pages are still served");
+        }
+        for (status, body) in ops {
+            assert_eq!(*status, 200, "operators can always see why");
+            assert!(body.contains("status: DEGRADED"), "{body}");
+            assert!(body.contains("shedding=true"), "{body}");
+            let depth: usize = body
+                .split(" admission ")
+                .nth(1)
+                .and_then(|rest| rest.split(" depth=").nth(1))
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|n| n.parse().ok())
+                .expect("admission line with a depth");
+            assert!(depth > 4, "depth counts the queue: {body}");
+        }
+
+        // The silent connections time out, the queue drains, the shed
+        // window elapses: healthy again, expensive work served again.
+        let admission = platform.admission().unwrap();
+        let drained = lodify::obs::WallClock::new();
+        while admission.queue_depth() > 0 {
+            assert!(
+                lodify::obs::Clock::now_micros(&drained) < 20_000_000,
+                "queue never drained: {:?}",
+                admission.ops()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(shed_window + Duration::from_millis(50));
+        let (status, ops) = Pending::send(addr, "/ops").finish();
+        assert_eq!(status, 200);
+        assert!(ops.contains("status: healthy"), "{ops}");
+        assert!(ops.contains("shedding=false"), "{ops}");
+        assert_eq!(
+            Pending::send(addr, &format!("/about/{pid}")).finish().0,
+            200
+        );
+
+        let telemetry = server.telemetry();
+        assert_eq!(
+            telemetry.counter("web.timeouts"),
+            14,
+            "one per silent connection"
+        );
+        assert_eq!(telemetry.counter("web.errors"), 0);
+        assert_eq!(admission.ops().shed_overload, 6);
+        assert_eq!(platform.obs().metrics().counter("web.shed.overload"), 6);
+        drop((front, back));
+        server.stop();
+    }
 
     /// The full overload storm: a 2x open-loop traffic surge drives the
     /// platform's real admission controller on virtual time while a
