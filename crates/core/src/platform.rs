@@ -944,10 +944,6 @@ impl Platform {
     /// ([`Self::cardinality`]), and the `sparql.query` histogram tags
     /// its bucket with the query's trace id as an exemplar.
     pub fn query(&self, sparql: &str) -> Result<lodify_sparql::QueryResults, PlatformError> {
-        if !self.obs.is_enabled() {
-            self.plan_cache.note_bypass();
-            return Ok(lodify_sparql::execute(self.store.store(), sparql)?);
-        }
         let started = self.obs.metrics().now_micros();
         let root = self.obs.tracer().start("sparql");
 
@@ -962,27 +958,19 @@ impl Platform {
             _ => "sparql.plan.misses",
         });
 
-        let (parsed, cached_plan) = match lookup {
-            lodify_sparql::PlanLookup::Hit { query, plan } => (query, Some(plan)),
-            lodify_sparql::PlanLookup::PlanOnly { plan } => {
+        let (cached_query, cached_plan) = match lookup {
+            lodify_sparql::PlanLookup::Hit { query, plan } => (Some(query), Some(plan)),
+            lodify_sparql::PlanLookup::PlanOnly { plan } => (None, Some(plan)),
+            lodify_sparql::PlanLookup::Miss => (None, None),
+        };
+        let parsed = match cached_query {
+            Some(query) => query,
+            None => {
                 let parse_span = root.child("sparql.parse");
                 let parsed = lodify_sparql::parse(sparql);
                 parse_span.finish();
                 match parsed {
-                    Ok(parsed) => (Arc::new(parsed), Some(plan)),
-                    Err(e) => {
-                        self.obs.metrics().incr("sparql.parse.errors");
-                        root.finish();
-                        return Err(e.into());
-                    }
-                }
-            }
-            lodify_sparql::PlanLookup::Miss => {
-                let parse_span = root.child("sparql.parse");
-                let parsed = lodify_sparql::parse(sparql);
-                parse_span.finish();
-                match parsed {
-                    Ok(parsed) => (Arc::new(parsed), None),
+                    Ok(parsed) => Arc::new(parsed),
                     Err(e) => {
                         self.obs.metrics().incr("sparql.parse.errors");
                         root.finish();
@@ -1048,7 +1036,7 @@ impl Platform {
         }
         let elapsed_us = metrics.now_micros().saturating_sub(started);
         metrics.observe_with_exemplar("sparql.query", elapsed_us, trace_id);
-        if elapsed_us >= self.obs.slow_queries().threshold_us() {
+        if self.obs.is_enabled() && elapsed_us >= self.obs.slow_queries().threshold_us() {
             self.obs.slow_queries().record_annotated(
                 &fingerprint,
                 sparql,
@@ -1105,14 +1093,11 @@ impl Platform {
     /// WAL recovery replays `Store::insert`/`remove`, store epochs —
     /// and with them cache validity — repopulate correctly on reboot.
     ///
-    /// With observability enabled, cold/stale solves run through
-    /// [`Self::query`], so album misses show up in the `sparql.parse`
-    /// / `sparql.eval` histograms and the slow-query log like any
-    /// other query.
+    /// Cold/stale solves run through [`Self::query`], so album misses
+    /// use the plan cache and show up in the `sparql.parse` /
+    /// `sparql.eval` histograms and the slow-query log like any other
+    /// query.
     pub fn view_album(&self, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
-        if !self.obs.is_enabled() {
-            return self.album_cache.view(self.store.store(), spec);
-        }
         let before = self.album_cache.stats();
         let span = self.obs.tracer().start("album.view");
         // A cold solve's `sparql` span nests under the view.

@@ -1625,6 +1625,7 @@ mod tests {
             "second run hits: {}",
             resp.body
         );
+        assert!(!resp.body.contains("bypass"), "{}", resp.body);
         let metrics = get(&p, "/metrics", false);
         assert!(
             metrics.body.contains("lodify_sparql_plan_entries 1"),

@@ -34,8 +34,8 @@ pub struct SlowQueryEntry {
     /// Per-operator breakdown lines of the worst execution (empty when
     /// the caller never supplied one).
     pub breakdown: Vec<String>,
-    /// Plan-cache outcome of the worst execution (`hit` / `miss` /
-    /// `bypass`), when the caller supplied one — lets `/ops` tell
+    /// Plan-cache outcome of the worst execution (`hit` / `miss`),
+    /// when the caller supplied one — lets `/ops` tell
     /// slow-because-replanned apart from slow-because-bad-plan.
     pub plan_cache: Option<String>,
     /// Id of the plan the worst execution ran, when it ran planned.
@@ -134,7 +134,7 @@ impl SlowQueryLog {
     }
 
     /// Records an execution with its breakdown plus the plan-cache
-    /// outcome (`hit` / `miss` / `bypass`) and plan id; like the
+    /// outcome (`hit` / `miss`) and plan id; like the
     /// breakdown, the annotation of the worst execution is kept.
     pub fn record_annotated(
         &self,

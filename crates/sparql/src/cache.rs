@@ -69,8 +69,6 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Queries that skipped the cache entirely (observability off).
-    pub bypasses: u64,
     /// Entries dropped because execution drift crossed the threshold.
     pub invalidations: u64,
     /// Plans currently cached.
@@ -78,7 +76,7 @@ pub struct PlanCacheStats {
 }
 
 impl PlanCacheStats {
-    /// Hit rate over cache-visible lookups (hits + misses), 0.0 when
+    /// Hit rate over lookups (hits + misses), 0.0 when
     /// nothing was looked up.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -100,7 +98,6 @@ struct Inner {
     entries: BTreeMap<String, Entry>,
     hits: u64,
     misses: u64,
-    bypasses: u64,
     invalidations: u64,
 }
 
@@ -144,7 +141,6 @@ impl PlanCache {
                 entries: BTreeMap::new(),
                 hits: 0,
                 misses: 0,
-                bypasses: 0,
                 invalidations: 0,
             })),
             capacity: capacity.max(1),
@@ -209,11 +205,6 @@ impl PlanCache {
         }
     }
 
-    /// Counts a query that skipped the cache (observability disabled).
-    pub fn note_bypass(&self) {
-        lock(&self.inner).bypasses += 1;
-    }
-
     /// Reports the worst estimated-vs-actual ratio of a planned
     /// execution. Crossing the threshold drops the entry so the next
     /// request replans against current statistics; returns whether the
@@ -242,7 +233,6 @@ impl PlanCache {
         PlanCacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            bypasses: inner.bypasses,
             invalidations: inner.invalidations,
             entries: inner.entries.len(),
         }
@@ -321,13 +311,5 @@ mod tests {
             assert!(cache.stats().entries <= 2, "insert {i} overflowed");
         }
         assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn bypasses_are_counted() {
-        let cache = PlanCache::new();
-        cache.note_bypass();
-        cache.note_bypass();
-        assert_eq!(cache.stats().bypasses, 2);
     }
 }

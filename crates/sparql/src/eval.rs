@@ -1,6 +1,12 @@
-//! Query evaluation: index-nested-loop BGP joins with greedy
-//! selectivity ordering, OPTIONAL/UNION/subselects, filters with
-//! SPARQL error semantics, aggregation, and solution modifiers.
+//! Query evaluation: index-nested-loop BGP joins, OPTIONAL/UNION/
+//! subselects, filters with SPARQL error semantics, aggregation, and
+//! solution modifiers.
+//!
+//! The evaluator decides no join order. Each BGP run executes a
+//! [`RunPlan`](crate::plan::RunPlan): the [`Plan`]'s when it covers the
+//! run's entry key, otherwise the one [`crate::plan`] computes cold at
+//! run entry — so [`evaluate_planned`] with `Plan::default()` *is* the
+//! unplanned engine, not a second one.
 //!
 //! # Parallel execution
 //!
@@ -8,7 +14,7 @@
 //! candidate bindings of a basic graph pattern across a scoped-thread
 //! worker pool ([`crate::pool`]). The split point is picked from the
 //! store's index cardinalities (the same counts that feed
-//! [`lodify_store::stats`]): walking the greedily ordered run, the
+//! [`lodify_store::stats`]): walking the ordered run, the
 //! first pattern whose subject is a still-unbound variable with at
 //! least [`EvalOptions::parallel_threshold`] matching triples is the
 //! *split pattern*, and that subject is the *split variable* — the
@@ -21,26 +27,24 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 use std::time::Duration;
 
+use lodify_rdf::ns::PrefixMap;
 use lodify_rdf::{Literal, Term};
 use lodify_store::{Store, TermId};
 
 use crate::ast::*;
 use crate::error::SparqlError;
 use crate::expr::{self, ExprError};
-use crate::plan::{run_key, Estimator, Plan};
+use crate::plan::{cold_order, run_key, Estimator, Plan};
 use crate::pool;
 use crate::profile::{EvalProfile, OperatorKind, OperatorProfile, WallTimer};
 use crate::results::QueryResults;
 
-/// Evaluator tuning knobs (ablation benches flip these).
+/// Evaluator tuning knobs for parallel execution.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
-    /// Greedy selectivity-based reordering of basic graph patterns.
-    /// When off, triple patterns run in syntactic order — the naive
-    /// plan the E13 ablation compares against.
-    pub reorder_bgp: bool,
     /// Number of partitions for BGP probing and filter application.
     /// `1` (the default) is the sequential engine; `n > 1` splits
     /// candidate bindings into `n` contiguous chunks with a
@@ -62,7 +66,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
-            reorder_bgp: true,
             workers: 1,
             parallel_threshold: 64,
             spawn_threads: true,
@@ -111,9 +114,9 @@ pub struct EvalReport {
     /// wall time. Feeds the slow-query breakdown and the per-predicate
     /// [`CardinalityProfile`](crate::profile::CardinalityProfile).
     pub profile: EvalProfile,
-    /// BGP runs that executed a cost-based [`Plan`] order (zero when
-    /// evaluation ran unplanned or every run key missed the plan and
-    /// fell back to the greedy order).
+    /// BGP runs that executed an order taken from the [`Plan`] (zero
+    /// when the plan covers no run — `Plan::default()` — or every run
+    /// key missed it and was ordered cold).
     pub planned_runs: u64,
     /// Worst per-operator estimated-vs-actual ratio over the planned
     /// steps (`max(actual/est, est/actual)`, both floored at 1). The
@@ -142,57 +145,32 @@ impl EvalReport {
     }
 }
 
-/// Evaluates a parsed query against a store.
-pub fn evaluate(store: &Store, query: &Query) -> Result<QueryResults, SparqlError> {
-    evaluate_with(store, query, EvalOptions::default())
-}
-
-/// Evaluates with explicit tuning options.
-pub fn evaluate_with(
-    store: &Store,
-    query: &Query,
-    options: EvalOptions,
-) -> Result<QueryResults, SparqlError> {
-    Ok(evaluate_with_report(store, query, options)?.0)
-}
-
-/// Like [`evaluate_with`], also returning the parallel-execution
-/// report benches use to measure speedup and partition balance.
-pub fn evaluate_with_report(
-    store: &Store,
-    query: &Query,
-    options: EvalOptions,
-) -> Result<(QueryResults, EvalReport), SparqlError> {
-    run_evaluator(Evaluator::new(store, options), store, query)
-}
-
-/// Evaluates a query following a cost-based [`Plan`]: each BGP run
-/// whose [`run_key`] the plan covers executes in the planned order
-/// with the plan's cost estimates feeding the operator profile (so
-/// est-vs-actual drift is measured against the plan); runs the plan
-/// does not cover fall back to the greedy order. Results are
-/// byte-identical to the unplanned engine — a plan only changes the
-/// join order inside BGP runs, which never changes the result set, and
-/// the final projection/sort pipeline is shared.
+/// Evaluates a parsed query — the one way in. Each BGP run whose
+/// [`run_key`] the [`Plan`] covers executes in the planned order, with
+/// the plan's estimates feeding the operator profile (so est-vs-actual
+/// drift is measured against the plan); a run the plan does not cover
+/// — every run, under `Plan::default()` — is ordered at run entry by
+/// the planner's cold-start greedy. Results are byte-identical whatever
+/// the plan: it only changes the join order inside BGP runs, which
+/// never changes the result set, and the final projection/sort
+/// pipeline is shared.
 pub fn evaluate_planned(
     store: &Store,
     query: &Query,
     options: EvalOptions,
     plan: &Plan,
 ) -> Result<(QueryResults, EvalReport), SparqlError> {
-    run_evaluator(Evaluator::with_plan(store, options, plan), store, query)
-}
-
-fn run_evaluator(
-    ev: Evaluator<'_>,
-    store: &Store,
-    query: &Query,
-) -> Result<(QueryResults, EvalReport), SparqlError> {
+    let ev = Evaluator {
+        store,
+        options,
+        estimator: Estimator::new(store),
+        plan,
+        report: RefCell::new(EvalReport::default()),
+    };
     let results = if query_has_aggregates(query) {
         ev.evaluate_aggregate(query)?
     } else {
-        let ids = ev.evaluate_ids(query)?;
-        ids.into_results(store)
+        ev.evaluate_ids(query)?.into_results(store)
     };
     let mut report = ev.report.into_inner();
     report.store_epoch = store.epoch();
@@ -347,33 +325,15 @@ struct Evaluator<'s> {
     store: &'s Store,
     options: EvalOptions,
     /// The one cardinality probe API ([`crate::plan::Estimator`]):
-    /// greedy ordering, split selection, and the planner all estimate
+    /// cold ordering, split selection, and the planner all estimate
     /// through it, so they can never disagree.
     estimator: Estimator<'s>,
-    /// The cost-based plan to follow, when evaluating via
-    /// [`evaluate_planned`].
-    plan: Option<&'s Plan>,
+    /// The plan to follow; runs it does not cover are ordered cold.
+    plan: &'s Plan,
     report: RefCell<EvalReport>,
 }
 
 impl<'s> Evaluator<'s> {
-    fn new(store: &'s Store, options: EvalOptions) -> Evaluator<'s> {
-        Evaluator {
-            store,
-            options,
-            estimator: Estimator::new(store),
-            plan: None,
-            report: RefCell::new(EvalReport::default()),
-        }
-    }
-
-    fn with_plan(store: &'s Store, options: EvalOptions, plan: &'s Plan) -> Evaluator<'s> {
-        Evaluator {
-            plan: Some(plan),
-            ..Evaluator::new(store, options)
-        }
-    }
-
     /// Folds one fork/join section's per-chunk accounting into the
     /// query report (called on the coordinating thread after merge).
     fn note_section<T>(&self, outcomes: &[pool::ChunkOutcome<T>]) {
@@ -430,7 +390,7 @@ impl<'s> Evaluator<'s> {
         }
         if query.order_by.is_empty() {
             // Without ORDER BY the raw row order would leak the join
-            // order — greedy, planned and parallel evaluation must stay
+            // order — cold, planned and parallel evaluation must stay
             // byte-identical, so pin a canonical term order (layout-
             // independent: terms compare by value, not by id).
             rows.sort_by(|a, b| {
@@ -636,8 +596,7 @@ impl<'s> Evaluator<'s> {
         while i < elements.len() {
             match elements[i] {
                 Element::Triple(_) => {
-                    // Collect the contiguous run of triple patterns and
-                    // order it greedily by estimated selectivity.
+                    // Collect the contiguous run of triple patterns.
                     let mut run: Vec<&TriplePattern> = Vec::new();
                     while i < elements.len() {
                         if let Element::Triple(t) = elements[i] {
@@ -647,28 +606,31 @@ impl<'s> Evaluator<'s> {
                             break;
                         }
                     }
-                    // A cost-based plan covering this run (matched by
-                    // its entry key) dictates the join order and the
-                    // per-step estimates; otherwise order greedily.
-                    // The key is computed at run entry with the same
-                    // function the planner used, and a malformed
-                    // permutation falls back too — the greedy order is
-                    // always correct, a plan is only ever faster.
-                    let planned = self.plan.and_then(|plan| {
-                        let key =
-                            run_key(&run, &|v| reg.slot(v).is_some_and(|s| bound.contains(&s)));
-                        plan.run(&key).filter(|rp| rp.applies_to(run.len()))
-                    });
-                    let (ordered, plan_estimates) = match planned {
+                    // The join order and per-step estimates come from
+                    // the plan when it covers this run (matched by its
+                    // entry key, computed with the function the planner
+                    // used), otherwise from the planner's cold order.
+                    // A malformed permutation counts as not covered:
+                    // any order is correct, a plan is only ever faster.
+                    // A plan covering nothing costs no key.
+                    let is_bound = |v: &str| reg.slot(v).is_some_and(|s| bound.contains(&s));
+                    let planned = (self.plan.run_count() > 0)
+                        .then(|| run_key(&run, &is_bound))
+                        .and_then(|key| self.plan.run(&key))
+                        .filter(|rp| rp.applies_to(run.len()));
+                    let cold;
+                    let run_plan = match planned {
                         Some(rp) => {
                             self.report.borrow_mut().planned_runs += 1;
-                            (
-                                rp.order.iter().map(|&idx| run[idx]).collect::<Vec<_>>(),
-                                Some(rp.estimates.as_slice()),
-                            )
+                            rp
                         }
-                        None => (self.order_patterns(&run, &bound, reg), None),
+                        None => {
+                            cold = cold_order(&self.estimator, &run, &is_bound);
+                            &cold
+                        }
                     };
+                    let ordered: Vec<&TriplePattern> =
+                        run_plan.order.iter().map(|&idx| run[idx]).collect();
                     // Join statistics decide whether (and where) this
                     // run is worth partitioning: probes after the
                     // split pattern see its bindings fan out and run
@@ -679,10 +641,7 @@ impl<'s> Evaluator<'s> {
                     }
                     for (k, pattern) in ordered.iter().enumerate() {
                         let fork = split.as_ref().is_some_and(|&(idx, _)| k > idx);
-                        let estimated = match plan_estimates {
-                            Some(ests) => ests[k],
-                            None => self.estimate(pattern, &bound, reg),
-                        };
+                        let estimated = run_plan.estimates[k];
                         let input_rows = solutions.len() as u64;
                         let timer = WallTimer::start();
                         solutions = self.match_pattern(pattern, solutions, reg, fork)?;
@@ -699,7 +658,7 @@ impl<'s> Evaluator<'s> {
                             output_rows: solutions.len() as u64,
                             elapsed_us: timer.elapsed_us(),
                         });
-                        if plan_estimates.is_some() {
+                        if planned.is_some() {
                             // Symmetric drift ratio of this planned
                             // step, floored at 1 row on both sides so
                             // empty results don't divide by zero.
@@ -890,48 +849,6 @@ impl<'s> Evaluator<'s> {
             }
         }
         None
-    }
-
-    /// Greedy join order: repeatedly pick the pattern with the lowest
-    /// cardinality estimate given the variables bound so far.
-    fn order_patterns<'p>(
-        &self,
-        run: &[&'p TriplePattern],
-        bound: &HashSet<usize>,
-        reg: &Registry,
-    ) -> Vec<&'p TriplePattern> {
-        if !self.options.reorder_bgp {
-            return run.to_vec();
-        }
-        let mut remaining: Vec<&TriplePattern> = run.to_vec();
-        let mut sim_bound = bound.clone();
-        let mut ordered = Vec::with_capacity(run.len());
-        while !remaining.is_empty() {
-            let (best_idx, _) = remaining
-                .iter()
-                .enumerate()
-                .map(|(idx, p)| (idx, self.estimate(p, &sim_bound, reg)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("non-empty");
-            let chosen = remaining.remove(best_idx);
-            for v in chosen.vars() {
-                if let Some(slot) = reg.slot(v) {
-                    sim_bound.insert(slot);
-                }
-            }
-            ordered.push(chosen);
-        }
-        ordered
-    }
-
-    /// The greedy ordering's selectivity estimate, routed through the
-    /// shared [`Estimator`] so the planner, the greedy order, and the
-    /// split selection all draw from the same probe API. (The raw
-    /// statistics heuristic lives in `plan::Estimator::heuristic` —
-    /// the single sanctioned caller, enforced by a CI grep.)
-    fn estimate(&self, p: &TriplePattern, bound: &HashSet<usize>, reg: &Registry) -> f64 {
-        self.estimator
-            .heuristic(p, &|v| reg.slot(v).is_some_and(|s| bound.contains(&s)))
     }
 
     fn match_pattern(
@@ -1195,122 +1112,12 @@ fn apply_slice<T>(rows: &mut Vec<T>, offset: Option<usize>, limit: Option<usize>
     }
 }
 
-// ---------------------------------------------------------------------
-// EXPLAIN
-// ---------------------------------------------------------------------
-
-/// Renders the plan the evaluator would run: greedy BGP join order with
-/// per-pattern cardinality estimates, filters, and compound operators.
-pub fn explain(store: &Store, query: &Query) -> String {
-    let ev = Evaluator::new(store, EvalOptions::default());
-    let reg = Registry::build(query);
-    let mut out = String::new();
-    let form = match query.form {
-        QueryForm::Select => "SELECT",
-        QueryForm::Ask => "ASK",
-    };
-    out.push_str(&format!("{form} plan:\n"));
-    ev.explain_group(&query.where_clause, &reg, &mut HashSet::new(), 1, &mut out);
-    if !query.order_by.is_empty() {
-        out.push_str(&format!("  sort: {} key(s)\n", query.order_by.len()));
-    }
-    if query.select.distinct {
-        out.push_str("  distinct\n");
-    }
-    if let Some(limit) = query.limit {
-        out.push_str(&format!("  limit {limit}\n"));
-    }
-    out
-}
-
-impl<'s> Evaluator<'s> {
-    fn explain_group(
-        &self,
-        group: &Group,
-        reg: &Registry,
-        bound: &mut HashSet<usize>,
-        depth: usize,
-        out: &mut String,
-    ) {
-        let pad = "  ".repeat(depth);
-        let elements: Vec<&Element> = group
-            .elements
-            .iter()
-            .filter(|e| !matches!(e, Element::Filter(_)))
-            .collect();
-        let mut i = 0;
-        while i < elements.len() {
-            match elements[i] {
-                Element::Triple(_) => {
-                    let mut run: Vec<&TriplePattern> = Vec::new();
-                    while i < elements.len() {
-                        if let Element::Triple(t) = elements[i] {
-                            run.push(t);
-                            i += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    let ordered = self.order_patterns(&run, bound, reg);
-                    for pattern in ordered {
-                        let est = self.estimate(pattern, bound, reg);
-                        out.push_str(&format!(
-                            "{pad}scan {} (est. {:.0} rows)\n",
-                            describe_pattern(pattern),
-                            est
-                        ));
-                        for v in pattern.vars() {
-                            if let Some(slot) = reg.slot(v) {
-                                bound.insert(slot);
-                            }
-                        }
-                    }
-                }
-                Element::Optional(g) => {
-                    out.push_str(&format!("{pad}optional:\n"));
-                    self.explain_group(g, reg, &mut bound.clone(), depth + 1, out);
-                    i += 1;
-                }
-                Element::Union(branches) => {
-                    out.push_str(&format!("{pad}union ({} branches):\n", branches.len()));
-                    for branch in branches {
-                        self.explain_group(branch, reg, &mut bound.clone(), depth + 1, out);
-                    }
-                    i += 1;
-                }
-                Element::SubGroup(g) => {
-                    out.push_str(&format!("{pad}group:\n"));
-                    self.explain_group(g, reg, bound, depth + 1, out);
-                    i += 1;
-                }
-                Element::SubSelect(q) => {
-                    out.push_str(&format!("{pad}subselect (limit {:?}):\n", q.limit));
-                    let sub_reg = Registry::build(q);
-                    self.explain_group(
-                        &q.where_clause,
-                        &sub_reg,
-                        &mut HashSet::new(),
-                        depth + 1,
-                        out,
-                    );
-                    i += 1;
-                }
-                Element::Filter(_) => unreachable!("filters partitioned out"),
-            }
-        }
-        let filters = group
-            .elements
-            .iter()
-            .filter(|e| matches!(e, Element::Filter(_)))
-            .count();
-        if filters > 0 {
-            out.push_str(&format!("{pad}apply {filters} filter(s)\n"));
-        }
-    }
-}
-
+/// Operator label for a pattern, IRIs compacted with the default
+/// prefixes. Every scan/join is labelled — once per row under
+/// `OPTIONAL` — so the prefix table is built once per process.
 fn describe_pattern(pattern: &TriplePattern) -> String {
-    let prefixes = lodify_rdf::ns::PrefixMap::with_defaults();
+    static PREFIXES: OnceLock<PrefixMap> = OnceLock::new();
+    let prefixes = PREFIXES.get_or_init(PrefixMap::with_defaults);
     let part = |tov: &TermOrVar| match tov {
         TermOrVar::Var(v) => format!("?{v}"),
         TermOrVar::Term(Term::Iri(iri)) => prefixes.compact(iri).unwrap_or_else(|| iri.to_string()),

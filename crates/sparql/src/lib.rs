@@ -17,6 +17,22 @@
 //! Everything outside this subset is a **parse error**, never silent
 //! misbehaviour.
 //!
+//! # One pipeline
+//!
+//! ```text
+//! parse ─► plan_query ─► evaluate_planned(&Store, &Query, EvalOptions, &Plan) ─► (rows, EvalReport)
+//! ```
+//!
+//! [`evaluate_planned`] is the only evaluator entry and [`plan`] the
+//! only module that decides a join order. A [`Plan`] comes from
+//! [`plan_query`] (exact-probe subset DP per BGP run — worth caching
+//! under the query's [`fingerprint`] in a [`PlanCache`]) or is
+//! `Plan::default()`, which covers no run, so each run is ordered at
+//! entry by the planner's cold-start greedy. The one-shot conveniences
+//! [`execute`], [`execute_snapshot`] and [`ask`] are [`parse`] +
+//! [`evaluate_planned`] under `Plan::default()`; [`explain`] renders
+//! what [`plan_query`] would choose.
+//!
 //! # Example
 //!
 //! ```
@@ -68,10 +84,11 @@ pub fn parse(query: &str) -> Result<ast::Query, SparqlError> {
     parser::parse_query(query)
 }
 
-/// Parses and evaluates a query against a store.
+/// Parses and evaluates a query against a store, one shot: no plan is
+/// compiled, each BGP run is ordered cold at run entry.
 pub fn execute(store: &Store, query: &str) -> Result<QueryResults, SparqlError> {
     let parsed = parse(query)?;
-    eval::evaluate(store, &parsed)
+    Ok(evaluate_planned(store, &parsed, EvalOptions::default(), &Plan::default())?.0)
 }
 
 /// Parses and evaluates a query against a pinned MVCC snapshot,
@@ -122,25 +139,15 @@ pub fn execute_snapshot(
 /// Parses and evaluates an `ASK` (or any) query, reducing to a boolean:
 /// true iff at least one solution exists.
 pub fn ask(store: &Store, query: &str) -> Result<bool, SparqlError> {
-    let parsed = parse(query)?;
-    Ok(!eval::evaluate(store, &parsed)?.is_empty())
+    Ok(!execute(store, query)?.is_empty())
 }
 
-/// Renders the evaluator's plan for a query: the greedy BGP join order
-/// with cardinality estimates, filters, and compound operators.
+/// Renders the cost-based plan [`plan_query`] compiles for a query: the
+/// join order of every BGP run with per-step cardinality estimates,
+/// nested by group structure ([`Plan::render`]).
 pub fn explain(store: &Store, query: &str) -> Result<String, SparqlError> {
     let parsed = parse(query)?;
-    Ok(eval::explain(store, &parsed))
-}
-
-/// Parses and evaluates with explicit evaluator options (ablations).
-pub fn execute_with(
-    store: &Store,
-    query: &str,
-    options: eval::EvalOptions,
-) -> Result<QueryResults, SparqlError> {
-    let parsed = parse(query)?;
-    eval::evaluate_with(store, &parsed, options)
+    Ok(plan_query(store, &parsed, None).render().to_string())
 }
 
 /// Normalizes a query into a fingerprint for slow-query aggregation:
@@ -184,19 +191,6 @@ pub fn fingerprint(query: &str) -> String {
         }
     }
     out
-}
-
-/// Parses and evaluates with explicit options, also returning the
-/// parallel-execution report (sections, partition balance, busy vs
-/// critical-path time). Benches use this to measure speedup without
-/// needing as many physical cores as configured workers.
-pub fn execute_with_report(
-    store: &Store,
-    query: &str,
-    options: eval::EvalOptions,
-) -> Result<(QueryResults, eval::EvalReport), SparqlError> {
-    let parsed = parse(query)?;
-    eval::evaluate_with_report(store, &parsed, options)
 }
 
 #[cfg(test)]

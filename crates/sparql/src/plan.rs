@@ -1,21 +1,23 @@
-//! Cost-based join planning over basic graph patterns.
+//! Join ordering over basic graph patterns — the only module that
+//! decides one.
 //!
-//! PR 3's evaluator orders each BGP run greedily by the store's uniform
-//! selectivity heuristic ([`lodify_store::stats::Stats::estimate`]).
-//! That heuristic divides a predicate's count by the store-wide number
-//! of distinct subjects/objects, so it is blind to **skew**: a pattern
-//! whose constant object matches half the store and one whose constant
-//! object matches fifty triples get the same estimate. This module adds
-//! the missing cost model:
+//! The store's uniform selectivity heuristic
+//! ([`lodify_store::stats::Stats::estimate`]) divides a predicate's
+//! count by the store-wide number of distinct subjects/objects, so it
+//! is blind to **skew**: a pattern whose constant object matches half
+//! the store and one whose constant object matches fifty triples get
+//! the same estimate. It costs a few statistics reads, which makes it
+//! the right probe for a query that runs once; a query that runs often
+//! deserves the cost model this module adds on top:
 //!
 //! 1. [`Estimator`] is the *single* cardinality probe API. It owns the
 //!    only call to the raw statistics heuristic (CI greps for strays),
 //!    the exact index probe ([`Estimator::exact_count`]), and the
 //!    calibration layer that scales heuristic estimates by the
 //!    observed [`misestimate`](crate::profile::PredicateStats::misestimate) ratio accumulated in a
-//!    [`CardinalityProfile`]. The evaluator's greedy ordering and
-//!    parallel split selection route through the same probes, so
-//!    planner and executor can never disagree about an estimate.
+//!    [`CardinalityProfile`]. The evaluator's parallel split selection
+//!    routes through the same probes, so planner and executor can
+//!    never disagree about an estimate.
 //! 2. [`plan_query`] walks the query's group tree exactly like the
 //!    evaluator will and runs a join-order search per BGP run: exact
 //!    dynamic programming over subsets for runs of up to
@@ -24,6 +26,11 @@
 //!    flow into the executed
 //!    [`EvalProfile`](crate::profile::EvalProfile), closing the
 //!    estimated-vs-actual loop.
+//! 3. A run the [`Plan`] does not cover — every run of a one-shot
+//!    [`execute`](crate::execute), whose plan is `Plan::default()` —
+//!    gets the same greedy search over the cold heuristic, asked for
+//!    by the evaluator at run entry. Both greedies are one function
+//!    with the probe as a parameter.
 //!
 //! The cost model treats a step estimate as the operator's output
 //! cardinality: an *opening* pattern (no previously bound variable)
@@ -31,9 +38,10 @@
 //! running row count by its per-binding fan-out estimate. Plan cost is
 //! the sum of intermediate result sizes — the classic C_out metric.
 //! Join order only ever changes *how fast* a BGP evaluates, never its
-//! result set; the property corpus asserts planned, greedy, and naive
-//! executions byte-identical.
+//! result set; the property corpus asserts planned and cold execution
+//! byte-identical to each other and to an independent reference.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use lodify_rdf::Term;
@@ -57,8 +65,8 @@ const CALIBRATION_CLAMP: f64 = 32.0;
 /// trusted for calibration.
 const CALIBRATION_MIN_OBSERVATIONS: u64 = 2;
 
-/// The single cardinality probe API shared by the planner, the
-/// evaluator's greedy ordering, and the parallel split selection.
+/// The single cardinality probe API shared by the join-order searches
+/// and the evaluator's parallel split selection.
 ///
 /// Three probes, strongest first:
 ///
@@ -80,8 +88,7 @@ pub struct Estimator<'s> {
 
 impl<'s> Estimator<'s> {
     /// An uncalibrated estimator: exact probes plus the cold-start
-    /// heuristic. This is what the evaluator uses when no profile is
-    /// supplied — byte-identical behaviour to the pre-planner engine.
+    /// heuristic.
     pub fn new(store: &'s Store) -> Estimator<'s> {
         Estimator {
             store,
@@ -158,9 +165,21 @@ impl<'s> Estimator<'s> {
     /// true fan-out, which is where the uniform heuristic loses to
     /// skew), calibrated heuristic otherwise.
     pub fn estimate(&self, p: &TriplePattern, is_bound: &dyn Fn(&str) -> bool) -> f64 {
+        self.estimate_with(p, is_bound, &|| self.exact_count(p))
+    }
+
+    /// [`Estimator::estimate`] with the opening pattern's exact count
+    /// supplied by the caller, so a search that meets the same pattern
+    /// many times can probe the index once.
+    fn estimate_with(
+        &self,
+        p: &TriplePattern,
+        is_bound: &dyn Fn(&str) -> bool,
+        exact_count: &dyn Fn() -> usize,
+    ) -> f64 {
         let any_var_bound = p.vars().any(is_bound);
         if !any_var_bound {
-            return self.exact_count(p) as f64;
+            return exact_count() as f64;
         }
         let h = self.heuristic(p, is_bound);
         if let (Some(calibration), Some(predicate)) = (self.calibration, constant_predicate(p)) {
@@ -225,7 +244,11 @@ impl RunPlan {
 /// keyed by the run's constant-insensitive signature (see
 /// [`run_key`]), plus the store epoch it was planned against and a
 /// stable id derived from its rendered form.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Plan::default()` covers no run: every run is ordered cold at run
+/// entry (see [`evaluate_planned`](crate::evaluate_planned)), which is
+/// how the one-shot [`execute`](crate::execute) family evaluates.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Plan {
     plan_id: u64,
     epoch: u64,
@@ -300,8 +323,8 @@ fn pattern_signature(p: &TriplePattern) -> String {
 /// already bound on entry. The planner and the evaluator compute this
 /// key with the same function at the same point (run entry), so a plan
 /// applies exactly when the evaluator faces the situation the planner
-/// modelled; any mismatch falls back to the greedy order, which is
-/// always correct.
+/// modelled; on any mismatch the run is ordered cold, which is always
+/// correct.
 pub fn run_key(run: &[&TriplePattern], is_bound: &dyn Fn(&str) -> bool) -> String {
     let mut key = String::new();
     for (i, p) in run.iter().enumerate() {
@@ -446,33 +469,50 @@ fn plan_group(
     }
 }
 
+/// A cardinality probe over one run: the estimated output rows of
+/// pattern `i` given which variables are already bound.
+type Probe<'a> = &'a dyn Fn(usize, &dyn Fn(&str) -> bool) -> f64;
+
 /// Join-order search for one BGP run: exact subset DP up to
-/// [`MAX_DP_PATTERNS`], calibrated greedy beyond. Both use the same
-/// [`Estimator::estimate`] probes, both are deterministic (strict-`<`
-/// improvement over ascending subset/index order breaks ties).
+/// [`MAX_DP_PATTERNS`], calibrated greedy beyond. Both probe through
+/// [`Estimator::estimate`]'s model and both are deterministic
+/// (strict-`<` improvement over ascending subset/index order breaks
+/// ties).
 fn search_order(
     estimator: &Estimator<'_>,
     run: &[&TriplePattern],
     bound: &HashSet<String>,
 ) -> RunPlan {
-    let n = run.len();
-    if n <= 1 {
-        let estimates = run
-            .iter()
-            .map(|p| estimator.estimate(p, &|v| bound.contains(v)))
-            .collect::<Vec<_>>();
-        let est_cost = estimates.iter().sum();
-        return RunPlan {
-            order: (0..n).collect(),
-            estimates,
-            est_cost,
-        };
-    }
-    if n <= MAX_DP_PATTERNS {
-        dp_order(estimator, run, bound)
+    let entry_bound = |v: &str| bound.contains(v);
+    // An exact count is an index walk, and the search asks for an
+    // opening pattern's count once per subset (DP) or round (greedy)
+    // it is still unbound in: probe each pattern at most once.
+    let exact: Vec<OnceCell<usize>> = vec![OnceCell::new(); run.len()];
+    let probe = |i: usize, is_bound: &dyn Fn(&str) -> bool| {
+        estimator.estimate_with(run[i], is_bound, &|| {
+            *exact[i].get_or_init(|| estimator.exact_count(run[i]))
+        })
+    };
+    if run.len() <= MAX_DP_PATTERNS {
+        dp_order(run, &entry_bound, &probe)
     } else {
-        greedy_order(estimator, run, bound)
+        greedy_order(run, &entry_bound, &probe)
     }
+}
+
+/// The order for a run no [`Plan`] covers (every run of a one-shot
+/// `execute`): the greedy search probing the cold-start
+/// [`Estimator::heuristic`] — statistics reads only, no index walk, no
+/// calibration. The evaluator asks for it at run entry, so this module
+/// stays the only place a join order is decided.
+pub(crate) fn cold_order(
+    estimator: &Estimator<'_>,
+    run: &[&TriplePattern],
+    entry_bound: &dyn Fn(&str) -> bool,
+) -> RunPlan {
+    greedy_order(run, entry_bound, &|i, is_bound| {
+        estimator.heuristic(run[i], is_bound)
+    })
 }
 
 /// One DP state: the best (cheapest) way to have joined the subset of
@@ -491,14 +531,18 @@ struct DpState {
     est: f64,
 }
 
-fn dp_order(estimator: &Estimator<'_>, run: &[&TriplePattern], bound: &HashSet<String>) -> RunPlan {
+fn dp_order(
+    run: &[&TriplePattern],
+    entry_bound: &dyn Fn(&str) -> bool,
+    probe: Probe<'_>,
+) -> RunPlan {
     let n = run.len();
     // Run-local variables (not bound on entry) get small ids so bound
     // sets inside the search are bitmasks, not string sets.
     let mut var_ids: HashMap<&str, usize> = HashMap::new();
     for p in run {
         for v in p.vars() {
-            if !bound.contains(v) && !var_ids.contains_key(v) {
+            if !entry_bound(v) && !var_ids.contains_key(v) {
                 let id = var_ids.len();
                 var_ids.insert(v, id);
             }
@@ -513,8 +557,8 @@ fn dp_order(estimator: &Estimator<'_>, run: &[&TriplePattern], bound: &HashSet<S
         })
         .collect();
     let step_estimate = |i: usize, varmask: u64| {
-        estimator.estimate(run[i], &|v: &str| {
-            bound.contains(v) || var_ids.get(v).is_some_and(|&id| varmask & (1 << id) != 0)
+        probe(i, &|v: &str| {
+            entry_bound(v) || var_ids.get(v).is_some_and(|&id| varmask & (1 << id) != 0)
         })
     };
 
@@ -573,23 +617,27 @@ fn dp_order(estimator: &Estimator<'_>, run: &[&TriplePattern], bound: &HashSet<S
     }
 }
 
+/// Greedy join order: repeatedly take the pattern `probe` estimates
+/// smallest given the variables bound so far (the first such pattern
+/// on a tie).
 fn greedy_order(
-    estimator: &Estimator<'_>,
     run: &[&TriplePattern],
-    bound: &HashSet<String>,
+    entry_bound: &dyn Fn(&str) -> bool,
+    probe: Probe<'_>,
 ) -> RunPlan {
     let n = run.len();
-    let mut sim_bound: HashSet<String> = bound.clone();
+    let mut joined: Vec<&str> = Vec::new();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     let mut estimates = Vec::with_capacity(n);
     let mut rows = 1.0f64;
     let mut cost = 0.0f64;
     while !remaining.is_empty() {
+        let is_bound = |v: &str| entry_bound(v) || joined.contains(&v);
         let mut best_pos = 0;
         let mut best_est = f64::INFINITY;
         for (pos, &idx) in remaining.iter().enumerate() {
-            let est = estimator.estimate(run[idx], &|v: &str| sim_bound.contains(v));
+            let est = probe(idx, &is_bound);
             if est < best_est {
                 best_est = est;
                 best_pos = pos;
@@ -600,9 +648,7 @@ fn greedy_order(
         cost += rows;
         order.push(idx);
         estimates.push(best_est);
-        for v in run[idx].vars() {
-            sim_bound.insert(v.to_string());
-        }
+        joined.extend(run[idx].vars());
     }
     RunPlan {
         order,

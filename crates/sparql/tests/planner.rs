@@ -133,3 +133,91 @@ fn planned_and_greedy_agree_before_and_after_skew() {
         }
     }
 }
+
+/// The subset DP probes each pattern's exact count once and reuses it;
+/// the plan must still be the C_out optimum under the public,
+/// un-memoised [`Estimator::estimate`] — checked against all 24
+/// orders of a four-pattern run mixing opening and probing patterns.
+#[test]
+fn dp_plan_is_the_brute_force_optimum_under_the_public_probe() {
+    use lodify_sparql::ast::{Element, TriplePattern};
+    use lodify_sparql::Estimator;
+
+    let mut store = Store::new();
+    for i in 0..300 {
+        let s = format!("http://ex/s{i}");
+        insert(&mut store, &s, "http://ex/tag", "http://ex/popular");
+        if i % 7 == 0 {
+            insert(&mut store, &s, "http://ex/kind", "http://ex/rare");
+        }
+        insert(
+            &mut store,
+            &s,
+            "http://ex/maker",
+            &format!("http://ex/u{}", i % 5),
+        );
+    }
+    for u in 0..5 {
+        insert(
+            &mut store,
+            &format!("http://ex/u{u}"),
+            "http://ex/knows",
+            "http://ex/u0",
+        );
+    }
+    let query = "SELECT ?s ?u WHERE { \
+        ?s <http://ex/tag> <http://ex/popular> . \
+        ?s <http://ex/kind> <http://ex/rare> . \
+        ?s <http://ex/maker> ?u . \
+        ?u <http://ex/knows> <http://ex/u0> . }";
+    let parsed = lodify_sparql::parse(query).unwrap();
+    let run: Vec<&TriplePattern> = parsed
+        .where_clause
+        .elements
+        .iter()
+        .map(|e| match e {
+            Element::Triple(t) => t,
+            other => panic!("BGP only, got {other:?}"),
+        })
+        .collect();
+
+    // C_out of one order, with the estimates it was built from.
+    let estimator = Estimator::new(&store);
+    let cost_of = |order: &[usize]| -> (f64, Vec<f64>) {
+        let (mut rows, mut cost, mut estimates) = (1.0f64, 0.0f64, Vec::new());
+        for (k, &idx) in order.iter().enumerate() {
+            let joined = &order[..k];
+            let est = estimator.estimate(run[idx], &|v: &str| {
+                joined.iter().any(|&j| run[j].vars().any(|x| x == v))
+            });
+            rows *= est.max(0.0);
+            cost += rows;
+            estimates.push(est);
+        }
+        (cost, estimates)
+    };
+    let mut best = f64::INFINITY;
+    let mut order = [0usize, 1, 2, 3];
+    // Heap's algorithm, iteratively.
+    let mut c = [0usize; 4];
+    best = best.min(cost_of(&order).0);
+    let mut i = 0;
+    while i < 4 {
+        if c[i] < i {
+            order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+            best = best.min(cost_of(&order).0);
+            c[i] += 1;
+            i = 0;
+        } else {
+            c[i] = 0;
+            i += 1;
+        }
+    }
+
+    let plan = plan_query(&store, &parsed, None);
+    let planned = plan.runs().values().next().expect("one run");
+    let (cost, estimates) = cost_of(&planned.order);
+    assert_eq!(planned.estimates, estimates, "{}", plan.render());
+    assert_eq!(planned.est_cost, cost, "{}", plan.render());
+    assert_eq!(cost, best, "{}", plan.render());
+}

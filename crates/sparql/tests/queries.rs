@@ -636,14 +636,35 @@ fn ask_queries_reduce_to_booleans() {
 fn explain_shows_greedy_join_order() {
     let store = paper_store();
     let plan = lodify_sparql::explain(&store, Q1).unwrap();
-    // The selective label scan must be planned before the unselective
-    // type scan.
-    let label_pos = plan.find("rdfs:label").expect("label scan in plan");
-    let type_pos = plan.find("sioct:MicroblogPost").expect("type scan in plan");
-    assert!(label_pos < type_pos, "{plan}");
+    // The selective label pattern (one monument) must open the
+    // ?monument side, ahead of the unselective geometry pattern on the
+    // same variable (every picture has a geometry).
+    let label_pos = plan
+        .find(ns::iri::rdfs_label().as_str())
+        .expect("label pattern in plan");
+    let geometry_pos = plan
+        .find(&format!("?monument <{}>", ns::iri::geo_geometry().as_str()))
+        .expect("monument geometry pattern in plan");
+    assert!(label_pos < geometry_pos, "{plan}");
     assert!(plan.contains("est."));
     assert!(plan.contains("apply 1 filter(s)"));
-    assert!(plan.contains("distinct"));
+    // One renderer: `explain` is the compiled plan's own text.
+    let parsed = lodify_sparql::parse(Q1).unwrap();
+    assert_eq!(
+        plan,
+        lodify_sparql::plan_query(&store, &parsed, None).render()
+    );
+}
+
+/// Evaluates `query` cold (no compiled plan) under explicit options.
+fn run_with(
+    store: &Store,
+    query: &str,
+    options: lodify_sparql::EvalOptions,
+) -> (lodify_sparql::QueryResults, lodify_sparql::EvalReport) {
+    let parsed = lodify_sparql::parse(query).unwrap();
+    lodify_sparql::evaluate_planned(store, &parsed, options, &lodify_sparql::Plan::default())
+        .unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -652,7 +673,7 @@ fn explain_shows_greedy_join_order() {
 
 #[test]
 fn parallel_evaluation_is_byte_identical_on_paper_queries() {
-    use lodify_sparql::{execute_with_report, EvalOptions};
+    use lodify_sparql::EvalOptions;
     let store = paper_store();
     for query in [Q1, Q2, Q3] {
         let sequential = execute(&store, query).unwrap();
@@ -664,9 +685,8 @@ fn parallel_evaluation_is_byte_identical_on_paper_queries() {
                     // of what the statistics estimate.
                     parallel_threshold: 0,
                     spawn_threads,
-                    ..EvalOptions::default()
                 };
-                let (parallel, report) = execute_with_report(&store, query, options).unwrap();
+                let (parallel, report) = run_with(&store, query, options);
                 assert_eq!(sequential.vars, parallel.vars);
                 assert_eq!(
                     sequential.rows, parallel.rows,
@@ -684,7 +704,7 @@ fn parallel_evaluation_is_byte_identical_on_paper_queries() {
 
 #[test]
 fn parallel_report_stays_quiet_below_the_stats_threshold() {
-    use lodify_sparql::{execute_with_report, EvalOptions};
+    use lodify_sparql::EvalOptions;
     let store = paper_store();
     // The fixture's statistics never reach a huge threshold, so the
     // split picker must keep the whole run sequential.
@@ -693,7 +713,7 @@ fn parallel_report_stays_quiet_below_the_stats_threshold() {
         parallel_threshold: 1_000_000,
         ..EvalOptions::default()
     };
-    let (results, report) = execute_with_report(&store, Q1, options).unwrap();
+    let (results, report) = run_with(&store, Q1, options);
     assert_eq!(results.rows, execute(&store, Q1).unwrap().rows);
     assert_eq!(report.parallel_sections, 0);
     assert_eq!(report.modeled_speedup(), 1.0);
@@ -707,10 +727,10 @@ fn parallel_report_stays_quiet_below_the_stats_threshold() {
 
 #[test]
 fn eval_profile_covers_every_paper_query_operator() {
-    use lodify_sparql::{execute_with_report, CardinalityProfile, EvalOptions, OperatorKind};
+    use lodify_sparql::{CardinalityProfile, EvalOptions, OperatorKind};
     let store = paper_store();
     for (name, query) in [("Q1", Q1), ("Q2", Q2), ("Q3", Q3)] {
-        let (_, report) = execute_with_report(&store, query, EvalOptions::default()).unwrap();
+        let (_, report) = run_with(&store, query, EvalOptions::default());
         let ops = report.profile.operators();
         assert!(
             ops.iter().any(|o| o.kind == OperatorKind::Scan),
@@ -746,7 +766,7 @@ fn eval_profile_covers_every_paper_query_operator() {
         assert!(registry.stats(ns::iri::rdfs_label().as_str()).is_some());
     }
     // Q3's ORDER BY shows up as a sort operator.
-    let (_, report) = execute_with_report(&store, Q3, EvalOptions::default()).unwrap();
+    let (_, report) = run_with(&store, Q3, EvalOptions::default());
     assert!(report
         .profile
         .operators()

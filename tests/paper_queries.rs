@@ -265,7 +265,7 @@ fn crash_recovery_preserves_every_paper_query_answer() {
 /// sequential engine, in both threaded and inline-partition modes.
 #[test]
 fn parallel_evaluation_matches_sequential_on_the_paper_fixture() {
-    use lodify::sparql::{execute_with_report, EvalOptions};
+    use lodify::sparql::{evaluate_planned, parse, EvalOptions, Plan};
 
     let (p, _) = platform_with_fixture();
     let user_name = oscar(&p);
@@ -276,15 +276,16 @@ fn parallel_evaluation_matches_sequential_on_the_paper_fixture() {
     ];
     for query in &queries {
         let sequential = p.query(query).unwrap().to_table();
+        let parsed = parse(query).unwrap();
         for spawn_threads in [true, false] {
             for workers in [2, 4] {
                 let options = EvalOptions {
                     workers,
                     parallel_threshold: 0,
                     spawn_threads,
-                    ..EvalOptions::default()
                 };
-                let (results, report) = execute_with_report(p.store(), query, options).unwrap();
+                let (results, report) =
+                    evaluate_planned(p.store(), &parsed, options, &Plan::default()).unwrap();
                 assert_eq!(
                     results.to_table(),
                     sequential,

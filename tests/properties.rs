@@ -333,7 +333,7 @@ fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
     // Determinism law for the fork/join evaluator: for arbitrary data
     // and worker counts, partitioned evaluation merged in chunk order
     // must reproduce the sequential engine's output exactly.
-    use lodify::sparql::{execute, execute_with, EvalOptions};
+    use lodify::sparql::{evaluate_planned, execute, parse, EvalOptions, Plan};
     let mut rng = rng("sparql-parallel");
     for case in 0..60 {
         let n = rng.random_range(4..40usize);
@@ -351,31 +351,95 @@ fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
         }
         let query = "SELECT ?s ?x ?y WHERE { ?s <http://p/a> ?x . ?s <http://p/b> ?y . }";
         let sequential = execute(&store, query).unwrap().to_table();
+        let parsed = parse(query).unwrap();
         for workers in [2, 3, 5] {
             let options = EvalOptions {
                 workers,
                 parallel_threshold: 0,
                 spawn_threads: case % 2 == 0,
-                ..EvalOptions::default()
             };
-            let parallel = execute_with(&store, query, options).unwrap().to_table();
+            let parallel = evaluate_planned(&store, &parsed, options, &Plan::default())
+                .unwrap()
+                .0
+                .to_table();
             assert_eq!(parallel, sequential, "case {case}, workers {workers}");
         }
     }
 }
 
+/// The object of a random-corpus pattern, kept structurally so the
+/// reference below never sees SPARQL text.
+enum RefObject {
+    Var(String),
+    Literal(String),
+}
+
+/// The independent reference for the random BGP corpus (ROADMAP 5(b)
+/// in miniature): nested loops over `Store::triples()` comparing whole
+/// terms — no dictionary ids, no indexes, no planner, no parser.
+/// `patterns` are `?subject <predicate> object`; every variable is
+/// projected and ordered by, so sorting rows by their cells' string
+/// values column by column is the query's ORDER BY.
+fn reference_table(
+    store: &Store,
+    patterns: &[(String, String, RefObject)],
+    vars: &[String],
+) -> String {
+    use std::collections::BTreeMap;
+    fn bind<'t>(b: &mut BTreeMap<String, &'t Term>, var: &str, term: &'t Term) -> bool {
+        *b.entry(var.to_string()).or_insert(term) == term
+    }
+    let triples: Vec<Triple> = store.triples().collect();
+    let mut solutions: Vec<BTreeMap<String, &Term>> = vec![BTreeMap::new()];
+    for (subject, predicate, object) in patterns {
+        let mut next = Vec::new();
+        for b in &solutions {
+            for t in triples.iter().filter(|t| t.predicate.as_str() == predicate) {
+                let mut nb = b.clone();
+                let matched = bind(&mut nb, subject, &t.subject)
+                    && match object {
+                        RefObject::Var(v) => bind(&mut nb, v, &t.object),
+                        RefObject::Literal(text) => t.object == Term::literal(text.as_str()),
+                    };
+                if matched {
+                    next.push(nb);
+                }
+            }
+        }
+        solutions = next;
+    }
+    let mut rows: Vec<Vec<&Term>> = solutions
+        .iter()
+        .map(|b| vars.iter().map(|v| b[v]).collect())
+        .collect();
+    rows.sort_by(|a, b| {
+        a.iter()
+            .map(|t| t.lexical())
+            .cmp(b.iter().map(|t| t.lexical()))
+    });
+    let mut out = format!("{}\n", vars.join("\t"));
+    for row in rows {
+        let cells: Vec<String> = row.iter().map(|t| t.to_string()).collect();
+        out.push_str(&format!("{}\n", cells.join("\t")));
+    }
+    out
+}
+
 #[test]
 fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
-    // Correctness law for the cost-based planner (ROADMAP item 5): a
-    // plan only ever reorders joins, so planned, greedy-heuristic and
-    // unreordered evaluation must produce byte-identical tables — on
-    // the paper's Q1–Q3 album queries and on a seeded random BGP
-    // corpus, at every shard count. Every query carries an ORDER BY
-    // over all projected variables, so row order is a pure function of
-    // the solution set, never of join enumeration order.
+    // Correctness law for the one query pipeline (ROADMAP items 2 and
+    // 5): a plan only ever reorders joins, so evaluation under a
+    // compiled plan and cold evaluation (`Plan::default()`, every run
+    // ordered by the planner's cold-start heuristic) must produce
+    // byte-identical tables — on the paper's Q1–Q3 album queries and
+    // on a seeded random BGP corpus, at every shard count — and on the
+    // corpus both must equal `reference_table`, which shares no code
+    // with the engine. Every query carries an ORDER BY over all
+    // projected variables, so row order is a pure function of the
+    // solution set, never of join enumeration order.
     use lodify::core::albums::AlbumSpec;
     use lodify::rdf::ns;
-    use lodify::sparql::{evaluate_planned, execute_with, plan_query, EvalOptions};
+    use lodify::sparql::{evaluate_planned, execute, plan_query, EvalOptions};
 
     let gaz = lodify::context::Gazetteer::global();
     let mole = gaz.poi("Mole_Antonelliana").unwrap().point(gaz);
@@ -466,28 +530,16 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
         store
     };
 
+    // Cold ≡ planned; returns the table and how many runs the plan
+    // ordered.
     let check = |store: &Store, query: &str, label: &str| {
-        let unplanned = execute_with(
-            store,
-            query,
-            EvalOptions {
-                reorder_bgp: false,
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap()
-        .to_table();
-        let heuristic = execute_with(store, query, EvalOptions::default())
-            .unwrap()
-            .to_table();
+        let cold = execute(store, query).unwrap().to_table();
         let parsed = lodify::sparql::parse(query).unwrap();
         let plan = plan_query(store, &parsed, None);
         let (results, report) =
             evaluate_planned(store, &parsed, EvalOptions::default(), &plan).unwrap();
-        let planned = results.to_table();
-        assert_eq!(heuristic, unplanned, "{label}: heuristic vs unplanned");
-        assert_eq!(planned, heuristic, "{label}: planned vs heuristic");
-        report.planned_runs
+        assert_eq!(results.to_table(), cold, "{label}: planned vs cold");
+        (cold, report.planned_runs)
     };
 
     // Q1 (geo proximity), Q2 (Q1 + social filter), Q3 (Q2 + rating).
@@ -501,7 +553,8 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
     for shards in [1usize, 4, 16] {
         let store = paper_store(shards);
         for (i, spec) in specs.iter().enumerate() {
-            let planned_runs = check(&store, &spec.to_sparql(), &format!("Q{} x{shards}", i + 1));
+            let (_, planned_runs) =
+                check(&store, &spec.to_sparql(), &format!("Q{} x{shards}", i + 1));
             assert!(planned_runs > 0, "Q{} must run from the plan", i + 1);
         }
     }
@@ -509,6 +562,7 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
     // Seeded random BGP corpus: few subjects/objects so joins fan out,
     // SELECT * with ORDER BY over every variable in the query.
     let mut rng = rng("sparql-planner");
+    let mut non_empty = 0;
     for case in 0..40 {
         let shards = [1usize, 4, 16][case % 3];
         let mut store = Store::with_shards(shards);
@@ -523,6 +577,7 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
         let patterns = rng.random_range(2..=5usize);
         let mut vars: Vec<String> = Vec::new();
         let mut body = String::new();
+        let mut reference_patterns = Vec::new();
         for k in 0..patterns {
             // Subjects share a small var pool so patterns join; the
             // object is a fresh var, a reused var, or a constant.
@@ -532,17 +587,22 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
             }
             let p = rng.random_range(0..4u32);
             let object = match rng.random_range(0..3u32) {
-                0 => format!("\"o{}\"", rng.random_range(0..5u32)),
+                0 => RefObject::Literal(format!("o{}", rng.random_range(0..5u32))),
                 1 if !vars.is_empty() => {
-                    format!("?{}", vars[rng.random_range(0..vars.len())].clone())
+                    RefObject::Var(vars[rng.random_range(0..vars.len())].clone())
                 }
                 _ => {
                     let ov = format!("v{k}");
                     vars.push(ov.clone());
-                    format!("?{ov}")
+                    RefObject::Var(ov)
                 }
             };
-            body.push_str(&format!("  ?{sv} <http://p/{p}> {object} .\n"));
+            let object_text = match &object {
+                RefObject::Literal(text) => format!("\"{text}\""),
+                RefObject::Var(v) => format!("?{v}"),
+            };
+            body.push_str(&format!("  ?{sv} <http://p/{p}> {object_text} .\n"));
+            reference_patterns.push((sv, format!("http://p/{p}"), object));
         }
         let order: Vec<String> = vars.iter().map(|v| format!("?{v}")).collect();
         let query = format!(
@@ -551,8 +611,16 @@ fn sparql_planner_heuristic_and_unplanned_agree_byte_for_byte() {
             body,
             order.join(" ")
         );
-        check(&store, &query, &format!("random case {case} x{shards}"));
+        let label = format!("random case {case} x{shards}");
+        let (engine, _) = check(&store, &query, &label);
+        assert_eq!(
+            engine,
+            reference_table(&store, &reference_patterns, &vars),
+            "{label}: engine vs reference\n{query}"
+        );
+        non_empty += usize::from(engine.lines().count() > 1);
     }
+    assert!(non_empty >= 8, "corpus went vacuous: {non_empty} answers");
 }
 
 // ---------- durability codec ----------
