@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use lodify_obs::{Metrics, SharedClock, TraceContext, WallClock};
 use lodify_rdf::{ns, Iri, Literal, Term, Triple};
-use lodify_resilience::{DeadLetterQueue, DetRng, FaultPlan, ReplayReport, RetryPolicy, Telemetry};
+use lodify_resilience::{link, FaultPlan, Link, ReplayReport, RetryPolicy, Telemetry};
 use lodify_store::Store;
 
 use crate::albums::AlbumSpec;
@@ -533,18 +533,6 @@ struct NodeLive {
     hub: PushHub,
 }
 
-/// Delivery resilience: a scripted fault plan judged per receiving
-/// node (`node:<host>`), retries with virtual backoff, and a
-/// dead-letter queue of undeliverable notifications replayed by
-/// [`Federation::redeliver`].
-struct DeliveryResilience {
-    plan: FaultPlan,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<Notification>,
-    telemetry: Telemetry,
-}
-
 /// The federation: nodes + WebFinger directory + hub.
 pub struct Federation {
     nodes: Vec<Node>,
@@ -553,7 +541,10 @@ pub struct Federation {
     sparql_subs: Vec<SparqlSubscription>,
     /// Per-publisher live albums (differential SparqlPuSH).
     live: BTreeMap<NodeId, NodeLive>,
-    resilience: Option<DeliveryResilience>,
+    /// Notification delivery: one peer per node (`PeerId == NodeId`),
+    /// judged under `node:<host>`; undeliverable notifications park
+    /// until [`Federation::redeliver`].
+    delivery: Link<Notification>,
     observability: Option<Metrics>,
     /// Clock for delivery timing — wall by default, the fault plan's
     /// virtual clock once one is installed, so latency histograms are
@@ -570,7 +561,7 @@ impl Default for Federation {
 impl Federation {
     /// Attempt cap for a parked notification (initial failure + DLQ
     /// replays).
-    pub const DELIVERY_MAX_ATTEMPTS: u32 = 8;
+    pub const DELIVERY_MAX_ATTEMPTS: u32 = link::MAX_ATTEMPTS;
 
     /// An empty federation.
     pub fn new() -> Federation {
@@ -579,18 +570,10 @@ impl Federation {
             subscriptions: Vec::new(),
             sparql_subs: Vec::new(),
             live: BTreeMap::new(),
-            resilience: None,
+            delivery: Link::new("federation", "federation-delivery"),
             observability: None,
             clock: Arc::new(WallClock::new()),
         }
-    }
-
-    /// Overrides the clock used to time deliveries (any
-    /// [`lodify_obs::Clock`], e.g. a shared
-    /// [`lodify_resilience::VirtualClock`]). [`Federation::with_fault_plan`]
-    /// binds the plan's virtual clock automatically.
-    pub fn set_clock(&mut self, clock: SharedClock) {
-        self.clock = clock;
     }
 
     /// Attaches a metrics registry (typically the platform's, via
@@ -603,9 +586,10 @@ impl Federation {
     }
 
     /// Installs fault-injected delivery: every PuSH/Salmon notification
-    /// to a node is judged by `plan` under target `node:<host>`,
-    /// retried per `retry` (advancing the plan's virtual clock), and
-    /// parked in a dead-letter queue when retries exhaust.
+    /// to a node is judged by `plan` under target `node:<host>` behind
+    /// the node's circuit breaker, retried per `retry` (advancing the
+    /// plan's virtual clock), and parked in a dead-letter queue when
+    /// retries exhaust.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
         self.clock = Arc::new(plan.clock().clone());
         // Live-push hubs share the plan: their deliveries are judged
@@ -613,28 +597,19 @@ impl Federation {
         for live in self.live.values_mut() {
             live.hub.with_fault_plan(plan.clone(), retry.clone());
         }
-        self.resilience = Some(DeliveryResilience {
-            plan,
-            retry,
-            rng: DetRng::seed_from_u64(0).fork("federation-delivery"),
-            dlq: DeadLetterQueue::new(Self::DELIVERY_MAX_ATTEMPTS),
-            telemetry: Telemetry::new(),
-        });
+        self.delivery.with_fault_plan(plan, retry);
     }
 
     /// Undelivered notifications awaiting [`Federation::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.resilience.as_ref().map(|r| r.dlq.depth()).unwrap_or(0)
+        self.delivery.depth()
     }
 
     /// Notifications abandoned after
     /// [`Federation::DELIVERY_MAX_ATTEMPTS`] attempts — surfaced for
     /// operators, never silently dropped.
     pub fn exhausted_deliveries(&self) -> usize {
-        self.resilience
-            .as_ref()
-            .map(|r| r.dlq.exhausted().len())
-            .unwrap_or(0)
+        self.delivery.exhausted()
     }
 
     /// Delivery telemetry (`None` without a fault plan):
@@ -642,7 +617,9 @@ impl Federation {
     /// `federation.parked` / `federation.redelivered` counters and the
     /// `federation.dlq.depth` gauge.
     pub fn delivery_telemetry(&self) -> Option<&Telemetry> {
-        self.resilience.as_ref().map(|r| &r.telemetry)
+        self.delivery
+            .fault_plan()
+            .map(|_| self.delivery.telemetry())
     }
 
     /// Adds a home node. Host names must be unique.
@@ -650,8 +627,10 @@ impl Federation {
         if self.nodes.iter().any(|n| n.host == host) {
             return Err(PlatformError::Invalid(format!("duplicate host {host:?}")));
         }
+        let id = self.delivery.add_peer(format!("node:{host}"));
+        debug_assert_eq!(id, self.nodes.len(), "delivery peers mirror nodes");
         self.nodes.push(Node::new(host));
-        Ok(self.nodes.len() - 1)
+        Ok(id)
     }
 
     /// A node by id.
@@ -793,8 +772,8 @@ impl Federation {
         let callback = self.node(subscriber)?.host.clone();
         if !self.live.contains_key(&publisher) {
             let mut hub = PushHub::new();
-            if let Some(res) = &self.resilience {
-                hub.with_fault_plan(res.plan.clone(), res.retry.clone());
+            if let Some((plan, retry)) = self.delivery.fault_plan() {
+                hub.with_fault_plan(plan.clone(), retry.clone());
             }
             self.live.insert(
                 publisher,
@@ -883,8 +862,9 @@ impl Federation {
         total
     }
 
-    /// Aggregated live-push counters across every publisher hub, or
-    /// `None` when no live subscription exists.
+    /// Aggregated live-push counters across every publisher hub —
+    /// counts summed, `lag` the worst hub's backlog — or `None` when no
+    /// live subscription exists.
     pub fn live_push_ops(&self) -> Option<LivePushOps> {
         if self.live.is_empty() {
             return None;
@@ -896,7 +876,7 @@ impl Federation {
             total.delivered += ops.delivered;
             total.parked += ops.parked;
             total.redelivered += ops.redelivered;
-            total.lag += ops.lag;
+            total.lag = total.lag.max(ops.lag);
             total.dlq_depth += ops.dlq_depth;
         }
         Some(total)
@@ -1103,31 +1083,30 @@ impl Federation {
         for notification in outbox {
             match self.try_deliver(&notification) {
                 Ok(()) => delivered.push(notification),
-                Err(error) => {
-                    let res = self.resilience.as_mut().expect("fallible only with plan");
-                    res.telemetry.incr("federation.parked");
-                    let now = res.plan.clock().now_ms();
-                    res.dlq.push(notification, error, now);
-                    res.telemetry
-                        .set_gauge("federation.dlq.depth", res.dlq.depth() as u64);
-                }
+                Err(error) => self.delivery.park(notification, error),
             }
         }
         delivered
     }
 
-    /// Attempts one notification delivery (with retries when a fault
-    /// plan is installed), timed into the `federation.deliver`
-    /// histogram. Success applies the node-side effect.
+    /// Attempts one notification delivery — a first try and a replay
+    /// alike: judged by the delivery link (breaker, then the fault plan
+    /// under retry), timed into the `federation.deliver` histogram.
+    /// Success applies the node-side effect.
     fn try_deliver(&mut self, notification: &Notification) -> Result<(), String> {
-        let timed = match &self.observability {
-            Some(metrics) if metrics.is_enabled() => {
-                Some((metrics.clone(), self.clock.now_micros()))
+        let start = self.clock.now_micros();
+        let (Notification::Activity { to, .. } | Notification::SparqlRows { to, .. }) =
+            notification;
+        let result = self.delivery.attempt(*to);
+        if result.is_ok() {
+            self.delivery.telemetry().incr("federation.delivered");
+            // The node-side effect is the subscriber's merged timeline;
+            // SparqlPuSH rows carry their payload in the notification.
+            if let Notification::Activity { activity, .. } = notification {
+                self.nodes[*to].timeline.push(activity.clone());
             }
-            _ => None,
-        };
-        let result = self.try_deliver_inner(notification);
-        if let Some((metrics, start)) = timed {
+        }
+        if let Some(metrics) = &self.observability {
             match &result {
                 Ok(()) => {
                     let elapsed = self.clock.now_micros().saturating_sub(start);
@@ -1140,66 +1119,23 @@ impl Federation {
         result
     }
 
-    fn try_deliver_inner(&mut self, notification: &Notification) -> Result<(), String> {
-        let to = match notification {
-            Notification::Activity { to, .. } => *to,
-            Notification::SparqlRows { to, .. } => *to,
-        };
-        if let Some(res) = &mut self.resilience {
-            let target = format!("node:{}", self.nodes[to].host);
-            let plan = res.plan.clone();
-            let clock = plan.clock().clone();
-            res.retry
-                .run(&clock, &mut res.rng, |attempt| {
-                    if attempt > 1 {
-                        res.telemetry.incr("federation.retries");
-                    }
-                    plan.check(&target)
-                })
-                .map_err(|e| e.to_string())?;
-            res.telemetry.incr("federation.delivered");
-        }
-        apply_delivery(&mut self.nodes, notification);
-        Ok(())
-    }
-
     /// Replays the delivery dead-letter queue: notifications whose node
     /// is reachable again land now (with their node-side effects);
     /// still-unreachable ones stay parked until
     /// [`Federation::DELIVERY_MAX_ATTEMPTS`] exhausts them. Returns the
     /// notifications delivered by this pass plus the replay report.
     pub fn redeliver(&mut self) -> (Vec<Notification>, ReplayReport) {
-        let Some(mut res) = self.resilience.take() else {
-            return (Vec::new(), ReplayReport::default());
-        };
         let mut landed = Vec::new();
-        let nodes = &mut self.nodes;
-        let plan = res.plan.clone();
-        let report = res.dlq.replay(|notification| {
-            let to = match notification {
-                Notification::Activity { to, .. } => *to,
-                Notification::SparqlRows { to, .. } => *to,
-            };
-            let target = format!("node:{}", nodes[to].host);
-            plan.check(&target).map_err(|e| e.to_string())?;
-            apply_delivery(nodes, notification);
-            landed.push(notification.clone());
-            Ok(())
-        });
-        res.telemetry
-            .add("federation.redelivered", report.replayed as u64);
-        res.telemetry
-            .set_gauge("federation.dlq.depth", res.dlq.depth() as u64);
-        self.resilience = Some(res);
+        let report = Link::replay(
+            self,
+            |fed| &mut fed.delivery,
+            |fed, notification| {
+                fed.try_deliver(notification)?;
+                landed.push(notification.clone());
+                Ok(())
+            },
+        );
         (landed, report)
-    }
-}
-
-/// Applies a notification's node-side effect (the subscriber's merged
-/// timeline; SparqlPuSH rows carry their payload in the notification).
-fn apply_delivery(nodes: &mut [Node], notification: &Notification) {
-    if let Notification::Activity { to, activity } = notification {
-        nodes[*to].timeline.push(activity.clone());
     }
 }
 
@@ -1493,6 +1429,93 @@ mod tests {
         let telemetry = fed.delivery_telemetry().unwrap();
         assert_eq!(telemetry.counter("federation.redelivered"), 1);
         assert_eq!(telemetry.gauge("federation.dlq.depth"), Some(0));
+    }
+
+    #[test]
+    fn replayed_deliveries_are_retried_timed_and_counted_like_first_tries() {
+        use lodify_resilience::VirtualClock;
+
+        let (mut fed, oscar, walter) = two_node_federation();
+        fed.subscribe(0, &oscar, &walter).unwrap();
+        let clock = VirtualClock::new();
+        let plan = FaultPlan::builder()
+            .outage("node:node1.example", 0, 5_000)
+            .build(clock.clone());
+        fed.with_fault_plan(plan, RetryPolicy::default());
+        let metrics = Metrics::new();
+        fed.set_observability(metrics.clone());
+
+        fed.publish(&walter, "missed you", 100).unwrap();
+        assert_eq!(fed.undelivered(), 1);
+        let retries = |fed: &Federation| {
+            fed.delivery_telemetry()
+                .unwrap()
+                .counter("federation.retries")
+        };
+        let first_try = retries(&fed);
+        assert_eq!(metrics.counter("federation.delivery.failures"), 1);
+
+        // A replay during the outage runs the same retry policy as the
+        // first try and is counted as a failed delivery.
+        fed.redeliver();
+        assert_eq!(retries(&fed), 2 * first_try);
+        assert_eq!(metrics.counter("federation.delivery.failures"), 2);
+
+        // The replay that lands is a delivery like any other: counted,
+        // timed, and equal to what the timeline shows.
+        clock.set(6_000);
+        let (landed, _) = fed.redeliver();
+        assert_eq!(landed.len(), 1);
+        assert_eq!(fed.node(0).unwrap().timeline().entries().len(), 1);
+        let telemetry = fed.delivery_telemetry().unwrap();
+        assert_eq!(telemetry.counter("federation.delivered"), 1);
+        assert_eq!(metrics.counter("federation.deliveries"), 1);
+        assert_eq!(metrics.histogram("federation.deliver").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn open_breaker_refuses_first_tries_and_replays_without_touching_the_node() {
+        use lodify_resilience::VirtualClock;
+
+        let (mut fed, oscar, walter) = two_node_federation();
+        fed.subscribe(0, &oscar, &walter).unwrap();
+        let clock = VirtualClock::new();
+        let plan = FaultPlan::builder()
+            .outage("node:node1.example", 0, 5_000)
+            .build(clock.clone());
+        fed.with_fault_plan(plan.clone(), RetryPolicy::no_retry());
+
+        // Three failed deliveries trip node1's breaker.
+        for ts in 1..=3 {
+            fed.publish(&walter, "down", ts).unwrap();
+        }
+        let calls = || plan.telemetry().counter("fault.calls.node:node1.example");
+        assert_eq!(calls(), 3);
+
+        // While it is open neither a fresh publish nor a replay reaches
+        // the fault plan; everything stays parked, in publish order.
+        fed.publish(&walter, "refused", 4).unwrap();
+        let (landed, report) = fed.redeliver();
+        assert!(landed.is_empty());
+        assert_eq!(report.requeued, 4);
+        assert_eq!(calls(), 3);
+        let telemetry = fed.delivery_telemetry().unwrap();
+        assert_eq!(telemetry.counter("federation.breaker.rejections"), 5);
+
+        // Outage and cooldown over: the half-open probe lands and
+        // closes the breaker for the rest of the pass.
+        clock.set(6_000);
+        let (landed, _) = fed.redeliver();
+        assert_eq!(landed.len(), 4);
+        let summaries: Vec<&str> = fed
+            .node(0)
+            .unwrap()
+            .timeline()
+            .entries()
+            .iter()
+            .map(|a| a.summary.as_str())
+            .collect();
+        assert_eq!(summaries, ["down", "down", "down", "refused"]);
     }
 
     #[test]
@@ -1813,5 +1836,35 @@ mod tests {
         let ops = fed.live_push_ops().unwrap();
         assert_eq!(ops.dlq_depth, 0);
         assert_eq!(ops.redelivered, 1);
+    }
+
+    #[test]
+    fn live_push_ops_reports_the_worst_hub_lag_not_the_sum() {
+        use lodify_resilience::VirtualClock;
+
+        let (mut fed, _, _) = two_node_federation();
+        seed_monument(&mut fed, 0);
+        seed_monument(&mut fed, 1);
+        let plan = FaultPlan::builder()
+            .outage("push:node1.example", 0, 5_000)
+            .outage("push:node2.example", 0, 5_000)
+            .build(VirtualClock::new());
+        fed.with_fault_plan(plan, RetryPolicy::no_retry());
+
+        // Two publishers, one subscriber each; both snapshot frames
+        // park in the outage, so each hub is one frame behind.
+        fed.live_subscribe(1, 0, &live_spec()).unwrap();
+        fed.live_subscribe(0, 1, &live_spec()).unwrap();
+        assert_eq!(fed.live_hub(0).unwrap().lag(), 1);
+        assert_eq!(fed.live_hub(1).unwrap().lag(), 1);
+
+        let ops = fed.live_push_ops().unwrap();
+        assert_eq!(
+            ops.lag, 1,
+            "a maximum backlog, as OpsSnapshot thresholds it"
+        );
+        assert_eq!(ops.subscribers, 2);
+        assert_eq!(ops.parked, 2);
+        assert_eq!(ops.dlq_depth, 2);
     }
 }

@@ -23,7 +23,7 @@ pub mod engine;
 pub mod push;
 
 pub use engine::{AlbumDiff, EngineStats, LiveAlbumId, Rank, StandingQueryEngine};
-pub use push::{PushHub, PushShipment, SubscriberAlbum, SubscriberId, PUSH_MAX_ATTEMPTS};
+pub use push::{PushHub, SubscriberAlbum, SubscriberId};
 
 use lodify_obs::{Metrics, Obs, TraceContext, Tracer};
 use lodify_rdf::Triple;

@@ -3,49 +3,34 @@
 //! The paper's §6 names PubSubHubbub/SparqlPuSH push as the missing
 //! distribution leg of LODified sharing. [`PushHub`] supplies it for
 //! live albums: every subscriber owns a durable-ordered **outbox** of
-//! [`AlbumDiff`] frames (monotonic sequence numbers), shipped through
-//! the same resilience machinery the federation and replication layers
-//! use — a per-subscriber circuit breaker, a [`FaultPlan`] judged at
-//! target `push:<callback>` under a [`RetryPolicy`], and a dead-letter
-//! queue replayed by [`PushHub::redeliver`].
+//! [`AlbumDiff`] frames (monotonic sequence numbers), shipped over the
+//! one delivery [`Link`] the federation and replication layers also
+//! use: each subscriber is a peer judged at target `push:<callback>`,
+//! and what cannot go parks until [`PushHub::redeliver`].
 //!
 //! Delivery is **at-least-once** and subscriber apply is
 //! **idempotent**: frames carry absolute `(link, rank)` upserts, the
-//! subscriber keeps a cursor of the highest applied sequence
-//! (duplicates are no-ops), and a gap triggers a catch-up replay from
-//! the outbox journal — so drops, duplicates and mid-stream subscriber
-//! crashes all converge to the same state. A crashed subscriber that
-//! recovers replays the full outbox from sequence 1; because frames
-//! are absolute upserts/removals, the replay reconstructs the album
-//! exactly (chaos tests assert byte-identity with a fresh recompute).
+//! subscriber keeps a cursor of the highest applied sequence, and the
+//! link's [`arrival`] rule turns a duplicate into a no-op and a gap
+//! into a catch-up replay from the outbox journal — so drops,
+//! duplicates and mid-stream subscriber crashes all converge to the
+//! same state. A crashed subscriber that recovers replays the full
+//! outbox from sequence 1; because frames are absolute
+//! upserts/removals, the replay reconstructs the album exactly (chaos
+//! tests assert byte-identity with a fresh recompute).
 
 use std::collections::BTreeMap;
 
 use lodify_obs::{Metrics, Obs, Tracer};
 use lodify_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, DeadLetterQueue, DetRng, FaultPlan, ReplayReport,
-    RetryPolicy, Telemetry,
+    arrival, Arrival, BreakerState, FaultPlan, Frame, Link, ReplayReport, RetryPolicy, Telemetry,
 };
 
 use super::engine::{member_order, AlbumDiff, LiveAlbumId, Rank, StandingQueryEngine};
 use crate::metrics::LivePushOps;
 
-/// Attempts before a parked push shipment is abandoned.
-pub const PUSH_MAX_ATTEMPTS: u32 = 8;
-
 /// Handle of one subscription.
 pub type SubscriberId = usize;
-
-/// A parked delivery: which subscriber, which outbox frame. The
-/// payload is refetched from the outbox on replay, so the DLQ stays
-/// small.
-#[derive(Debug, Clone)]
-pub struct PushShipment {
-    /// The subscription the frame belongs to.
-    pub subscriber: SubscriberId,
-    /// Outbox sequence number of the frame.
-    pub seq: u64,
-}
 
 /// The subscriber-side materialization: an idempotent fold over the
 /// diff stream.
@@ -78,11 +63,8 @@ impl SubscriberAlbum {
         links
     }
 
-    /// Applies one frame; duplicates (`seq <= cursor`) are no-ops.
-    fn apply(&mut self, seq: u64, diff: &AlbumDiff) -> bool {
-        if seq <= self.cursor {
-            return false;
-        }
+    /// Applies the next frame (`seq == cursor + 1`).
+    fn apply(&mut self, seq: u64, diff: &AlbumDiff) {
         for (link, rank) in &diff.upserts {
             self.members.insert(link.clone(), rank.clone());
         }
@@ -90,7 +72,6 @@ impl SubscriberAlbum {
             self.members.remove(link);
         }
         self.cursor = seq;
-        true
     }
 }
 
@@ -102,9 +83,6 @@ struct PushSub {
     limit: Option<usize>,
     /// Ordered diff journal; frame `i` has sequence `i + 1`.
     outbox: Vec<AlbumDiff>,
-    /// Highest sequence handed to delivery (success or parked).
-    shipped: u64,
-    breaker: CircuitBreaker,
     /// `None` while the subscriber is crashed.
     state: Option<SubscriberAlbum>,
 }
@@ -119,14 +97,10 @@ impl PushSub {
 /// shipping. See the module docs.
 pub struct PushHub {
     subs: Vec<PushSub>,
-    plan: Option<FaultPlan>,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<PushShipment>,
-    telemetry: Telemetry,
+    /// One peer per subscriber; `PeerId == SubscriberId`.
+    link: Link<Frame>,
     metrics: Option<Metrics>,
     tracer: Option<Tracer>,
-    breaker_config: BreakerConfig,
 }
 
 impl Default for PushHub {
@@ -140,14 +114,9 @@ impl PushHub {
     pub fn new() -> PushHub {
         PushHub {
             subs: Vec::new(),
-            plan: None,
-            retry: RetryPolicy::no_retry(),
-            rng: DetRng::seed_from_u64(0).fork("live-push-transport"),
-            dlq: DeadLetterQueue::new(PUSH_MAX_ATTEMPTS),
-            telemetry: Telemetry::default(),
+            link: Link::new("live.push", "live-push-transport"),
             metrics: None,
             tracer: None,
-            breaker_config: BreakerConfig::default(),
         }
     }
 
@@ -155,8 +124,7 @@ impl PushHub {
     /// subscriber is judged by `plan` under target `push:<callback>`,
     /// retried per `retry`.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.plan = Some(plan);
-        self.retry = retry;
+        self.link.with_fault_plan(plan, retry);
     }
 
     /// Attaches observability: `live.push` spans plus mirrored
@@ -168,7 +136,7 @@ impl PushHub {
 
     /// Push telemetry (`live.push.*` counters and gauges).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.link.telemetry()
     }
 
     /// Subscribes `callback` to `album`, seeding its outbox with a
@@ -188,14 +156,13 @@ impl PushHub {
             moved: Vec::new(),
             trace: None,
         };
-        let id = self.subs.len();
+        let id = self.link.add_peer(format!("push:{callback}"));
+        debug_assert_eq!(id, self.subs.len());
         self.subs.push(PushSub {
             callback: callback.to_string(),
             album,
             limit: spec.limit,
             outbox: vec![snapshot],
-            shipped: 0,
-            breaker: CircuitBreaker::new(self.breaker_config.clone()),
             state: Some(SubscriberAlbum {
                 members: BTreeMap::new(),
                 cursor: 0,
@@ -221,7 +188,7 @@ impl PushHub {
         for sub in &mut self.subs {
             if sub.album == diff.album {
                 sub.outbox.push(diff.clone());
-                self.telemetry.incr("live.push.offered");
+                self.link.telemetry().incr("live.push.offered");
             }
         }
     }
@@ -231,35 +198,17 @@ impl PushHub {
     /// catch-up replay keep out-of-order arrivals correct.
     pub fn pump(&mut self) {
         for idx in 0..self.subs.len() {
-            loop {
-                let sub = &self.subs[idx];
-                let seq = sub.shipped + 1;
-                if seq > sub.head() {
-                    break;
-                }
-                let trace = sub.outbox[(seq - 1) as usize].trace;
+            while let Some(seq) = self.link.next_to_ship(idx, self.subs[idx].head()) {
+                let trace = self.subs[idx].outbox[(seq - 1) as usize].trace;
                 let span = self
                     .tracer
                     .as_ref()
                     .map(|t| t.start_with_context("live.push", trace));
-                let verdict = judge_push(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.subs[idx],
-                );
-                match verdict {
+                match self.link.attempt(idx) {
                     Ok(()) => self.deliver(idx, seq),
-                    Err(error) => self.park(
-                        PushShipment {
-                            subscriber: idx,
-                            seq,
-                        },
-                        error,
-                    ),
+                    Err(error) => self.link.park(Frame { peer: idx, seq }, error),
                 }
-                self.subs[idx].shipped = seq;
+                self.link.mark_shipped(idx, seq);
                 drop(span);
             }
         }
@@ -267,31 +216,21 @@ impl PushHub {
     }
 
     /// Replays the push dead-letter queue; still-failing shipments are
-    /// re-parked until [`PUSH_MAX_ATTEMPTS`] exhausts them.
+    /// re-parked until the link's attempt cap exhausts them.
     pub fn redeliver(&mut self) -> ReplayReport {
-        let mut dlq = std::mem::replace(&mut self.dlq, DeadLetterQueue::new(PUSH_MAX_ATTEMPTS));
-        let report = dlq.replay(|shipment| {
-            let head = self
-                .subs
-                .get(shipment.subscriber)
-                .ok_or_else(|| "subscription removed".to_string())?
-                .head();
-            if shipment.seq > head {
-                return Err(format!("frame {} missing", shipment.seq));
-            }
-            judge_push(
-                self.plan.as_ref(),
-                &self.retry,
-                &mut self.rng,
-                &self.telemetry,
-                &mut self.subs[shipment.subscriber],
-            )?;
-            self.deliver(shipment.subscriber, shipment.seq);
-            Ok(())
-        });
-        self.dlq = dlq;
-        self.telemetry
-            .add("live.push.redelivered", report.replayed as u64);
+        let report = Link::replay(
+            self,
+            |hub| &mut hub.link,
+            |hub, &Frame { peer, seq }| {
+                let sub = hub.subs.get(peer).ok_or("subscription removed")?;
+                if seq > sub.head() {
+                    return Err(format!("frame {seq} missing"));
+                }
+                hub.link.attempt(peer)?;
+                hub.deliver(peer, seq);
+                Ok(())
+            },
+        );
         self.publish_gauges();
         report
     }
@@ -304,34 +243,32 @@ impl PushHub {
         let Some(state) = sub.state.as_mut() else {
             return; // crashed mid-stream: judged deliverable, nobody home
         };
-        let mut applied = false;
-        for q in (state.cursor + 1)..=seq {
-            if q < seq {
-                self.telemetry.incr("live.push.catchups");
+        let telemetry = self.link.telemetry();
+        match arrival(state.cursor, seq) {
+            Arrival::Duplicate => {
+                telemetry.incr("live.push.duplicates");
+                return;
             }
-            applied |= state.apply(q, &sub.outbox[(q - 1) as usize]);
-        }
-        if applied {
-            self.telemetry.incr("live.push.delivered");
-            if let Some(metrics) = &self.metrics {
-                metrics.incr("live.push.delivered");
+            Arrival::InOrder => {}
+            Arrival::Gap(missing) => {
+                for q in missing {
+                    telemetry.incr("live.push.catchups");
+                    state.apply(q, &sub.outbox[(q - 1) as usize]);
+                }
             }
-        } else {
-            self.telemetry.incr("live.push.duplicates");
         }
-    }
-
-    fn park(&mut self, shipment: PushShipment, error: String) {
-        self.telemetry.incr("live.push.parked");
-        let now = self.plan.as_ref().map(|p| p.clock().now_ms()).unwrap_or(0);
-        self.dlq.push(shipment, error, now);
+        state.apply(seq, &sub.outbox[(seq - 1) as usize]);
+        telemetry.incr("live.push.delivered");
+        if let Some(metrics) = &self.metrics {
+            metrics.incr("live.push.delivered");
+        }
     }
 
     /// Simulates a subscriber crash: its materialized state (cursor
     /// included) is lost; the outbox journal survives hub-side.
     pub fn kill(&mut self, id: SubscriberId) {
         self.subs[id].state = None;
-        self.telemetry.incr("live.push.crashes");
+        self.link.telemetry().incr("live.push.crashes");
     }
 
     /// Recovers a crashed subscriber with empty state. Shipping
@@ -347,7 +284,7 @@ impl PushHub {
             cursor: 0,
             limit: sub.limit,
         });
-        sub.shipped = 0;
+        self.link.mark_shipped(id, 0);
     }
 
     /// The subscriber's materialized album, if it is up.
@@ -360,14 +297,15 @@ impl PushHub {
     pub fn rows(&self) -> Vec<(String, LiveAlbumId, u64, u64, Option<u64>, BreakerState)> {
         self.subs
             .iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(id, s)| {
                 (
                     s.callback.clone(),
                     s.album,
                     s.head(),
-                    s.shipped,
+                    self.link.shipped(id),
                     s.state.as_ref().map(SubscriberAlbum::cursor),
-                    s.breaker.state(),
+                    self.link.breaker_state(id),
                 )
             })
             .collect()
@@ -388,80 +326,40 @@ impl PushHub {
     /// Whether every live subscriber has applied every frame with
     /// nothing parked.
     pub fn converged(&self) -> bool {
-        self.lag() == 0 && self.dlq.depth() == 0
+        self.lag() == 0 && self.link.depth() == 0
     }
 
     /// Parked deliveries awaiting [`Self::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.dlq.depth()
+        self.link.depth()
     }
 
-    /// Deliveries abandoned after [`PUSH_MAX_ATTEMPTS`].
+    /// Deliveries abandoned at the link's attempt cap.
     pub fn exhausted(&self) -> usize {
-        self.dlq.exhausted().len()
+        self.link.exhausted()
     }
 
     /// Counter snapshot for `/ops`.
     pub fn ops(&self) -> LivePushOps {
+        let telemetry = self.link.telemetry();
         LivePushOps {
             subscribers: self.subs.len(),
-            delivered: self.telemetry.counter("live.push.delivered"),
-            parked: self.telemetry.counter("live.push.parked"),
-            redelivered: self.telemetry.counter("live.push.redelivered"),
+            delivered: telemetry.counter("live.push.delivered"),
+            parked: telemetry.counter("live.push.parked"),
+            redelivered: telemetry.counter("live.push.redelivered"),
             lag: self.lag(),
-            dlq_depth: self.dlq.depth(),
+            dlq_depth: self.link.depth(),
         }
     }
 
     fn publish_gauges(&self) {
         let lag = self.lag();
-        self.telemetry.set_gauge("live.push.lag", lag);
-        self.telemetry
-            .set_gauge("live.push.dlq.depth", self.dlq.depth() as u64);
+        self.link.telemetry().set_gauge("live.push.lag", lag);
         if let Some(metrics) = &self.metrics {
             metrics.set_gauge("live.push.lag", lag);
-            metrics.set_gauge("live.push.dlq.depth", self.dlq.depth() as u64);
+            metrics.set_gauge("live.push.dlq.depth", self.link.depth() as u64);
         }
     }
-}
-
-/// Judges one push delivery: per-subscriber breaker first, then the
-/// fault plan under target `push:<callback>` (with retry/backoff in
-/// virtual time) — the same shape as replication's transport judge.
-fn judge_push(
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut DetRng,
-    telemetry: &Telemetry,
-    sub: &mut PushSub,
-) -> Result<(), String> {
-    let target = format!("push:{}", sub.callback);
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    if !sub.breaker.allow(now) {
-        telemetry.incr("live.push.breaker.rejections");
-        return Err(format!("breaker open for {target}"));
-    }
-    let outcome = match plan {
-        None => Ok(()),
-        Some(plan) => {
-            let clock = plan.clock().clone();
-            retry
-                .run(&clock, rng, |attempt| {
-                    if attempt > 1 {
-                        telemetry.incr("live.push.retries");
-                    }
-                    plan.check(&target)
-                })
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-    };
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    match &outcome {
-        Ok(()) => sub.breaker.on_success(now),
-        Err(_) => sub.breaker.on_failure(now),
-    }
-    outcome
 }
 
 #[cfg(test)]

@@ -14,13 +14,14 @@
 //!   [`SharePolicy`] (by user, album, or predicate namespace); a
 //!   filtered-out emission still ships as an *empty* sequence marker,
 //!   so policy never punches holes in the sequence space;
-//! * transport is simulated, judged per link by a
-//!   `lodify-resilience` fault plan (target `repl:<from>-><to>`) with
-//!   retry/backoff, a per-peer circuit breaker, and a dead-letter
-//!   queue replayed by [`Replicator::redeliver`];
-//! * receivers apply idempotently: a duplicate (`seq ≤ cursor`) or a
-//!   stale epoch is a no-op; a sequence gap triggers a **catch-up
-//!   pull** from the origin's emission journal; [`Replicator::pump`]
+//! * transport is simulated: every directed link is a peer (target
+//!   `repl:<from>-><to>`) of the one delivery [`Link`] — breaker,
+//!   fault plan under retry, dead-letter queue replayed by
+//!   [`Replicator::redeliver`];
+//! * receivers apply idempotently under the link's
+//!   [`arrival`] rule: a duplicate (`seq ≤ cursor`) or a stale epoch
+//!   is a no-op; a sequence gap triggers a **catch-up pull** from the
+//!   origin's emission journal; [`Replicator::pump`]
 //!   finishes with an anti-entropy pass that repairs silently dropped
 //!   deliveries — but only over links the fault plan currently allows;
 //! * the journal is flushed on every append, so a crashed replica
@@ -48,7 +49,7 @@ use lodify_durability::Storage;
 use lodify_obs::{Metrics, Obs, TraceContext, Tracer};
 use lodify_rdf::{Iri, Triple};
 use lodify_resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, DeadLetterQueue, DetRng, FaultPlan, ReplayReport,
+    arrival, Arrival, BreakerState, DetRng, FaultPlan, Frame, Link, PeerId, ReplayReport,
     RetryPolicy, Telemetry,
 };
 
@@ -59,9 +60,6 @@ use crate::metrics::ReplicationOps;
 /// Journal file name inside a replica's storage (lives beside the
 /// node's WAL files when they share a directory).
 pub const EMISSIONS_FILE: &str = "emissions";
-
-/// Attempt cap for a parked shipment (initial failure + replays).
-pub const REPLICATION_MAX_ATTEMPTS: u32 = 8;
 
 // ------------------------------------------------------------ emissions
 
@@ -227,7 +225,7 @@ fn next_byte(bytes: &[u8], cursor: &mut usize) -> Result<u8, PlatformError> {
     Ok(b)
 }
 
-/// Frames an emission for the journal / wire.
+/// Frames an emission for the journal.
 fn frame_emission(emission: &Emission) -> Vec<u8> {
     let body = emission.encode();
     let mut out = Vec::with_capacity(body.len() + 12);
@@ -256,6 +254,43 @@ fn scan_emissions(bytes: &[u8]) -> Result<(Vec<Emission>, usize), PlatformError>
                 )))
             }
         }
+    }
+}
+
+/// The durable emission journal behind a [`Replica`] and an
+/// [`EmissionOutbox`]: CRC-framed emissions in [`EMISSIONS_FILE`],
+/// flushed on every append, mirrored in memory in arrival order.
+struct EmissionJournal {
+    storage: Box<dyn Storage>,
+    emissions: Vec<Emission>,
+}
+
+impl EmissionJournal {
+    /// Opens (or creates) the journal. A torn tail (crash mid-append)
+    /// is chopped so future appends frame cleanly; a corrupt frame is
+    /// an error.
+    fn open(mut storage: Box<dyn Storage>) -> Result<EmissionJournal, PlatformError> {
+        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
+            storage.read(EMISSIONS_FILE)?
+        } else {
+            storage.create(EMISSIONS_FILE)?;
+            Vec::new()
+        };
+        let (emissions, clean_len) = scan_emissions(&bytes)?;
+        if clean_len < bytes.len() {
+            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
+            storage.flush(EMISSIONS_FILE)?;
+        }
+        Ok(EmissionJournal { storage, emissions })
+    }
+
+    /// Appends one emission durably (framed, flushed).
+    fn append(&mut self, emission: Emission) -> Result<(), PlatformError> {
+        self.storage
+            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
+        self.storage.flush(EMISSIONS_FILE)?;
+        self.emissions.push(emission);
+        Ok(())
     }
 }
 
@@ -344,74 +379,62 @@ pub struct Cursor {
 /// cursors derived from it.
 struct Replica {
     host: String,
-    storage: Box<dyn Storage>,
-    journal: Vec<Emission>,
+    journal: EmissionJournal,
     /// Journal indexes of own emissions, by `seq - 1`.
     own: Vec<usize>,
-    next_seq: u64,
     cursors: BTreeMap<String, Cursor>,
 }
 
 impl Replica {
-    fn open(host: String, mut storage: Box<dyn Storage>) -> Result<Replica, PlatformError> {
-        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
-            storage.read(EMISSIONS_FILE)?
-        } else {
-            storage.create(EMISSIONS_FILE)?;
-            Vec::new()
-        };
-        let (emissions, clean_len) = scan_emissions(&bytes)?;
-        if clean_len < bytes.len() {
-            // Chop the torn tail so future appends frame cleanly.
-            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
-            storage.flush(EMISSIONS_FILE)?;
-        }
+    fn open(host: String, storage: Box<dyn Storage>) -> Result<Replica, PlatformError> {
         let mut replica = Replica {
             host,
-            storage,
-            journal: Vec::with_capacity(emissions.len()),
+            journal: EmissionJournal::open(storage)?,
             own: Vec::new(),
-            next_seq: 1,
             cursors: BTreeMap::new(),
         };
-        for emission in emissions {
-            replica.index(emission);
+        for at in 0..replica.journal.emissions.len() {
+            replica.index(at)?;
         }
         Ok(replica)
     }
 
-    /// Records an emission in the in-memory index (journal already
-    /// holds its bytes).
-    fn index(&mut self, emission: Emission) {
-        if emission.origin.host == self.host {
-            debug_assert_eq!(emission.seq as usize, self.own.len() + 1);
-            self.own.push(self.journal.len());
-            self.next_seq = self.next_seq.max(emission.seq + 1);
+    /// Indexes journal entry `at`. Own emissions must number 1, 2, 3, …
+    /// in journal order — [`Replica::own_emission`] finds them by
+    /// position, so a skipped or repeated sequence number (a buggy or
+    /// hostile writer; the frame CRC does not vouch for it) would ship
+    /// the wrong emission.
+    fn index(&mut self, at: usize) -> Result<(), PlatformError> {
+        let emission = &self.journal.emissions[at];
+        if emission.origin.host != self.host {
+            let cursor = Cursor {
+                seq: emission.seq,
+                epoch: emission.epoch,
+            };
+            self.cursors.insert(emission.origin.host.clone(), cursor);
+        } else if emission.seq == self.next_seq() {
+            self.own.push(at);
         } else {
-            self.cursors.insert(
-                emission.origin.host.clone(),
-                Cursor {
-                    seq: emission.seq,
-                    epoch: emission.epoch,
-                },
-            );
+            return Err(PlatformError::Invalid(format!(
+                "emission journal of {} holds own seq {} where {} belongs",
+                self.host,
+                emission.seq,
+                self.next_seq()
+            )));
         }
-        self.journal.push(emission);
+        Ok(())
     }
 
     /// Appends an emission durably (framed, flushed) and indexes it.
     fn append(&mut self, emission: Emission) -> Result<(), PlatformError> {
-        self.storage
-            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
-        self.storage.flush(EMISSIONS_FILE)?;
-        self.index(emission);
-        Ok(())
+        self.journal.append(emission)?;
+        self.index(self.journal.emissions.len() - 1)
     }
 
     /// One of this node's own emissions by sequence number.
     fn own_emission(&self, seq: u64) -> Option<&Emission> {
         let idx = *self.own.get((seq as usize).checked_sub(1)?)?;
-        self.journal.get(idx)
+        self.journal.emissions.get(idx)
     }
 
     fn cursor(&self, origin_host: &str) -> Cursor {
@@ -419,7 +442,11 @@ impl Replica {
     }
 
     fn head(&self) -> u64 {
-        self.next_seq - 1
+        self.own.len() as u64
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.head() + 1
     }
 }
 
@@ -477,64 +504,15 @@ impl ChaosState {
     }
 }
 
-/// A parked shipment: link endpoints plus the origin sequence number
-/// (the emission itself is refetched from the origin journal on
-/// replay, so the DLQ never holds stale payloads).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Shipment {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
-    /// Origin sequence number.
-    pub seq: u64,
-}
-
-struct Link {
+/// One directed replication link.
+struct Edge {
     from: NodeId,
     to: NodeId,
     policy: SharePolicy,
-    /// Highest origin seq this link has shipped (or handed to the DLQ).
-    acked: u64,
-    breaker: CircuitBreaker,
-}
-
-/// Judges one transport call over a link: per-peer breaker first, then
-/// the fault plan (with retry/backoff in virtual time).
-fn judge_transport(
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
-    rng: &mut DetRng,
-    telemetry: &Telemetry,
-    link: &mut Link,
-    target: &str,
-) -> Result<(), String> {
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    if !link.breaker.allow(now) {
-        telemetry.incr("replication.breaker.rejections");
-        return Err(format!("breaker open for {target}"));
-    }
-    let outcome = match plan {
-        None => Ok(()),
-        Some(plan) => {
-            let clock = plan.clock().clone();
-            retry
-                .run(&clock, rng, |attempt| {
-                    if attempt > 1 {
-                        telemetry.incr("replication.retries");
-                    }
-                    plan.check(target)
-                })
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-    };
-    let now = plan.map(|p| p.clock().now_ms()).unwrap_or(0);
-    match &outcome {
-        Ok(()) => link.breaker.on_success(now),
-        Err(_) => link.breaker.on_failure(now),
-    }
-    outcome
+    /// The edge's peer on the delivery link, named
+    /// `repl:<from host>-><to host>` on first use
+    /// ([`Replicator::subscribe`] sees node ids, not hosts).
+    peer: Option<PeerId>,
 }
 
 // ----------------------------------------------------------- replicator
@@ -543,18 +521,14 @@ fn judge_transport(
 /// links, simulated faulty transport, and idempotent receivers.
 pub struct Replicator {
     replicas: BTreeMap<NodeId, Replica>,
-    links: Vec<Link>,
-    plan: Option<FaultPlan>,
-    retry: RetryPolicy,
-    rng: DetRng,
-    dlq: DeadLetterQueue<Shipment>,
+    edges: Vec<Edge>,
+    /// Judges, parks and replays every shipment; one peer per edge.
+    link: Link<Frame>,
     chaos: Option<ChaosState>,
-    /// Reordered deliveries held for the next pump: `(link, emission)`.
+    /// Reordered deliveries held for the next pump: `(edge, emission)`.
     delayed: Vec<(usize, Emission)>,
-    telemetry: Telemetry,
     metrics: Option<Metrics>,
     tracer: Option<Tracer>,
-    breaker_config: BreakerConfig,
 }
 
 impl Default for Replicator {
@@ -568,17 +542,12 @@ impl Replicator {
     pub fn new() -> Replicator {
         Replicator {
             replicas: BTreeMap::new(),
-            links: Vec::new(),
-            plan: None,
-            retry: RetryPolicy::no_retry(),
-            rng: DetRng::seed_from_u64(0).fork("replication-transport"),
-            dlq: DeadLetterQueue::new(REPLICATION_MAX_ATTEMPTS),
+            edges: Vec::new(),
+            link: Link::new("replication", "replication-transport"),
             chaos: None,
             delayed: Vec::new(),
-            telemetry: Telemetry::new(),
             metrics: None,
             tracer: None,
-            breaker_config: BreakerConfig::default(),
         }
     }
 
@@ -586,8 +555,7 @@ impl Replicator {
     /// `from → to` is judged by `plan` under target
     /// `repl:<from_host>-><to_host>`, retried per `retry`.
     pub fn with_fault_plan(&mut self, plan: FaultPlan, retry: RetryPolicy) {
-        self.plan = Some(plan);
-        self.retry = retry;
+        self.link.with_fault_plan(plan, retry);
     }
 
     /// Installs (or clears) seeded drop/duplicate/reorder misbehavior
@@ -599,12 +567,6 @@ impl Replicator {
         });
     }
 
-    /// Overrides the per-peer circuit breaker configuration for links
-    /// created after this call.
-    pub fn set_breaker_config(&mut self, config: BreakerConfig) {
-        self.breaker_config = config;
-    }
-
     /// Attaches observability: `replication.ship` / `replication.apply`
     /// spans and mirrored counters + the `replication.lag` gauge.
     pub fn set_observability(&mut self, obs: &Obs) {
@@ -614,7 +576,7 @@ impl Replicator {
 
     /// Replication telemetry (`replication.*` counters and gauges).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.link.telemetry()
     }
 
     /// Attaches (or re-attaches) a node's replica state, opening its
@@ -630,8 +592,8 @@ impl Replicator {
         let host = fed.node(node)?.host().to_string();
         let replica = Replica::open(host, storage)?;
         let report = AttachReport {
-            recovered: replica.journal.len(),
-            next_seq: replica.next_seq,
+            recovered: replica.journal.emissions.len(),
+            next_seq: replica.next_seq(),
             origins: replica.cursors.len(),
         };
         self.replicas.insert(node, replica);
@@ -655,17 +617,16 @@ impl Replicator {
         if from == to {
             return Err(PlatformError::Invalid("self-replication link".into()));
         }
-        if self.links.iter().any(|l| l.from == from && l.to == to) {
+        if self.edges.iter().any(|l| l.from == from && l.to == to) {
             return Err(PlatformError::Invalid(format!(
                 "duplicate link {from} -> {to}"
             )));
         }
-        self.links.push(Link {
+        self.edges.push(Edge {
             from,
             to,
             policy,
-            acked: 0,
-            breaker: CircuitBreaker::new(self.breaker_config.clone()),
+            peer: None,
         });
         Ok(())
     }
@@ -711,7 +672,7 @@ impl Replicator {
         let replica = self.replicas.get_mut(&node_id).expect("checked above");
         let emission = Emission {
             origin: author.clone(),
-            seq: replica.next_seq,
+            seq: replica.next_seq(),
             epoch,
             album: album.map(str::to_string),
             additions,
@@ -720,11 +681,12 @@ impl Replicator {
         };
         let seq = emission.seq;
         replica.append(emission)?;
-        self.telemetry.incr("replication.emissions");
-        if let Some(metrics) = &self.metrics {
-            metrics.incr("replication.emissions");
+        self.count("replication.emissions");
+        for idx in 0..self.edges.len() {
+            if self.edges[idx].from == node_id {
+                self.ship_link(fed, idx)?;
+            }
         }
-        self.ship_from(fed, node_id)?;
         self.publish_gauges();
         if let Some(span) = span {
             span.finish();
@@ -741,7 +703,7 @@ impl Replicator {
         for (idx, emission) in delayed {
             self.deliver(fed, idx, emission)?;
         }
-        for idx in 0..self.links.len() {
+        for idx in 0..self.edges.len() {
             self.ship_link(fed, idx)?;
         }
         self.reconcile(fed)?;
@@ -749,73 +711,45 @@ impl Replicator {
         Ok(())
     }
 
-    fn ship_from(&mut self, fed: &mut Federation, from: NodeId) -> Result<(), PlatformError> {
-        for idx in 0..self.links.len() {
-            if self.links[idx].from == from {
-                self.ship_link(fed, idx)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Ships the link's backlog (acked → origin head). Failures park
-    /// the shipment in the DLQ and move on; chaos may drop, duplicate,
-    /// or delay individual deliveries.
+    /// Ships the edge's backlog (shipped cursor → origin head).
+    /// Failures park the shipment in the DLQ and move on; chaos may
+    /// drop, duplicate, or delay individual deliveries.
     fn ship_link(&mut self, fed: &mut Federation, idx: usize) -> Result<(), PlatformError> {
         loop {
-            let (from, to) = (self.links[idx].from, self.links[idx].to);
-            let Some(origin) = self.replicas.get(&from) else {
+            let (from, to) = (self.edges[idx].from, self.edges[idx].to);
+            let Some(head) = self.replicas.get(&from).map(Replica::head) else {
                 return Ok(()); // sender down; nothing to ship
             };
-            let head = origin.head();
-            let seq = self.links[idx].acked + 1;
-            if seq > head {
+            let peer = self.peer(fed, idx)?;
+            let Some(seq) = self.link.next_to_ship(peer, head) else {
                 return Ok(());
-            }
-            let emission = origin
-                .own_emission(seq)
-                .ok_or_else(|| {
-                    PlatformError::Invalid(format!("emission {seq} missing from node {from}"))
-                })?
-                .clone();
-            let shipped = self.links[idx].policy.project(&emission);
+            };
+            let shipped = self.outgoing(idx, seq).map_err(PlatformError::Invalid)?;
             let span = self
                 .tracer
                 .as_ref()
                 .map(|t| t.start_with_context("replication.ship", shipped.trace));
-            let target = self.link_target(fed, idx)?;
             let verdict = if self.replicas.contains_key(&to) {
-                judge_transport(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.links[idx],
-                    &target,
-                )
+                self.link.attempt(peer)
             } else {
                 Err(format!("replica {to} down"))
             };
             match verdict {
-                Err(error) => {
-                    self.park(Shipment { from, to, seq }, error);
-                }
+                Err(error) => self.link.park(Frame { peer, seq }, error),
                 Ok(()) => {
-                    self.telemetry.incr("replication.shipped");
-                    if let Some(metrics) = &self.metrics {
-                        metrics.incr("replication.shipped");
-                    }
+                    self.count("replication.shipped");
+                    let telemetry = self.link.telemetry();
                     match self.chaos.as_mut().map(|c| c.decide()) {
                         Some(ChaosCall::Drop) => {
-                            self.telemetry.incr("replication.transport.dropped");
+                            telemetry.incr("replication.transport.dropped");
                         }
                         Some(ChaosCall::Duplicate) => {
-                            self.telemetry.incr("replication.transport.duplicated");
+                            telemetry.incr("replication.transport.duplicated");
                             self.deliver(fed, idx, shipped.clone())?;
                             self.deliver(fed, idx, shipped)?;
                         }
                         Some(ChaosCall::Reorder) => {
-                            self.telemetry.incr("replication.transport.reordered");
+                            telemetry.incr("replication.transport.reordered");
                             self.delayed.push((idx, shipped));
                         }
                         Some(ChaosCall::Deliver) | None => {
@@ -826,7 +760,7 @@ impl Replicator {
             }
             // Parked or delivered, the slot is accounted for; the DLQ
             // or the receiver's gap detection owns it from here.
-            self.links[idx].acked = seq;
+            self.link.mark_shipped(peer, seq);
             if let Some(span) = span {
                 span.finish();
             }
@@ -842,43 +776,33 @@ impl Replicator {
         idx: usize,
         emission: Emission,
     ) -> Result<(), PlatformError> {
-        let (from, to) = (self.links[idx].from, self.links[idx].to);
+        let to = self.edges[idx].to;
         let Some(receiver) = self.replicas.get(&to) else {
             // A delayed delivery can land after the replica died.
-            self.park(
-                Shipment {
-                    from,
-                    to,
-                    seq: emission.seq,
-                },
-                format!("replica {to} down"),
-            );
+            let (peer, seq) = (self.peer(fed, idx)?, emission.seq);
+            self.link
+                .park(Frame { peer, seq }, format!("replica {to} down"));
             return Ok(());
         };
         let cursor = receiver.cursor(&emission.origin.host);
-        if emission.seq <= cursor.seq {
-            self.telemetry.incr("replication.duplicates");
+        let arrival = arrival(cursor.seq, emission.seq);
+        if arrival == Arrival::Duplicate {
+            self.link.telemetry().incr("replication.duplicates");
             return Ok(());
         }
         if emission.epoch <= cursor.epoch {
-            self.telemetry.incr("replication.stale");
+            self.link.telemetry().incr("replication.stale");
             return Ok(());
         }
-        if emission.seq > cursor.seq + 1 {
-            // Sequence gap: pull the missing range from the origin's
-            // journal (we are mid-delivery, so the pipe is open).
-            self.telemetry.incr("replication.catchups");
-            if let Some(metrics) = &self.metrics {
-                metrics.incr("replication.catchups");
-            }
-            let missing: Vec<Emission> = {
-                let Some(origin) = self.replicas.get(&from) else {
-                    return Ok(()); // origin down; a later pump repairs
-                };
-                (cursor.seq + 1..emission.seq)
-                    .filter_map(|s| origin.own_emission(s))
-                    .map(|e| self.links[idx].policy.project(e))
-                    .collect()
+        if let Arrival::Gap(missing) = arrival {
+            // Pull the missing range from the origin's journal (we are
+            // mid-delivery, so the pipe is open).
+            self.count("replication.catchups");
+            let Ok(missing) = missing
+                .map(|seq| self.outgoing(idx, seq))
+                .collect::<Result<Vec<Emission>, _>>()
+            else {
+                return Ok(()); // origin down; a later pump repairs
             };
             for pulled in missing {
                 self.apply_one(fed, to, pulled)?;
@@ -930,10 +854,7 @@ impl Replicator {
             .get_mut(&to)
             .ok_or_else(|| PlatformError::NotFound(format!("replica {to}")))?;
         replica.append(emission)?;
-        self.telemetry.incr("replication.applied");
-        if let Some(metrics) = &self.metrics {
-            metrics.incr("replication.applied");
-        }
+        self.count("replication.applied");
         if let Some(span) = span {
             span.finish();
         }
@@ -945,41 +866,26 @@ impl Replicator {
     /// emission to trip gap detection), pull the missing range — but
     /// only if the transport currently allows it.
     fn reconcile(&mut self, fed: &mut Federation) -> Result<(), PlatformError> {
-        for idx in 0..self.links.len() {
+        for idx in 0..self.edges.len() {
             loop {
-                let (from, to) = (self.links[idx].from, self.links[idx].to);
+                let (from, to) = (self.edges[idx].from, self.edges[idx].to);
                 let (Some(origin), Some(receiver)) =
                     (self.replicas.get(&from), self.replicas.get(&to))
                 else {
                     break;
                 };
-                let head = origin.head();
-                let cursor = receiver.cursor(&origin.host);
-                if cursor.seq >= head {
+                let next = receiver.cursor(&origin.host).seq + 1;
+                if next > origin.head() {
                     break;
                 }
-                let target = self.link_target(fed, idx)?;
-                if judge_transport(
-                    self.plan.as_ref(),
-                    &self.retry,
-                    &mut self.rng,
-                    &self.telemetry,
-                    &mut self.links[idx],
-                    &target,
-                )
-                .is_err()
-                {
+                let peer = self.peer(fed, idx)?;
+                if self.link.attempt(peer).is_err() {
                     break; // partitioned; a later pump retries
                 }
-                let origin = self.replicas.get(&from).expect("checked above");
-                let Some(next) = origin.own_emission(cursor.seq + 1) else {
+                let Ok(pulled) = self.outgoing(idx, next) else {
                     break;
                 };
-                let pulled = self.links[idx].policy.project(next);
-                self.telemetry.incr("replication.catchups");
-                if let Some(metrics) = &self.metrics {
-                    metrics.incr("replication.catchups");
-                }
+                self.count("replication.catchups");
                 self.apply_one(fed, to, pulled)?;
             }
         }
@@ -987,86 +893,81 @@ impl Replicator {
     }
 
     /// Replays the shipment dead-letter queue; still-failing shipments
-    /// are re-parked until [`REPLICATION_MAX_ATTEMPTS`] exhausts them.
+    /// are re-parked until the link's attempt cap exhausts them.
     pub fn redeliver(&mut self, fed: &mut Federation) -> Result<ReplayReport, PlatformError> {
-        let mut dlq = std::mem::replace(
-            &mut self.dlq,
-            DeadLetterQueue::new(REPLICATION_MAX_ATTEMPTS),
-        );
         let mut failure: Option<PlatformError> = None;
-        let report = dlq.replay(|shipment| {
-            let idx = self
-                .links
-                .iter()
-                .position(|l| l.from == shipment.from && l.to == shipment.to)
-                .ok_or_else(|| "link removed".to_string())?;
-            if !self.replicas.contains_key(&shipment.to) {
-                return Err(format!("replica {} down", shipment.to));
-            }
-            let target = match self.link_target(fed, idx) {
-                Ok(target) => target,
-                Err(e) => {
-                    failure = Some(e);
-                    return Err("internal error".into());
+        let report = Link::replay(
+            self,
+            |repl| &mut repl.link,
+            |repl, &Frame { peer, seq }| {
+                let idx = repl
+                    .edges
+                    .iter()
+                    .position(|edge| edge.peer == Some(peer))
+                    .ok_or("link removed")?;
+                let to = repl.edges[idx].to;
+                if !repl.replicas.contains_key(&to) {
+                    return Err(format!("replica {to} down"));
                 }
-            };
-            judge_transport(
-                self.plan.as_ref(),
-                &self.retry,
-                &mut self.rng,
-                &self.telemetry,
-                &mut self.links[idx],
-                &target,
-            )?;
-            let emission = {
-                let origin = self
-                    .replicas
-                    .get(&shipment.from)
-                    .ok_or_else(|| format!("origin {} down", shipment.from))?;
-                let own = origin
-                    .own_emission(shipment.seq)
-                    .ok_or_else(|| format!("emission {} missing", shipment.seq))?;
-                self.links[idx].policy.project(own)
-            };
-            if let Err(e) = self.deliver(fed, idx, emission) {
-                failure = Some(e);
-                return Err("internal error".into());
-            }
-            Ok(())
-        });
-        self.dlq = dlq;
+                repl.link.attempt(peer)?;
+                let emission = repl.outgoing(idx, seq)?;
+                repl.deliver(fed, idx, emission).map_err(|e| {
+                    failure = Some(e);
+                    "internal error".to_string()
+                })
+            },
+        );
         if let Some(e) = failure {
             return Err(e);
         }
-        self.telemetry
-            .add("replication.redelivered", report.replayed as u64);
-        self.telemetry
-            .set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
         self.publish_gauges();
         Ok(report)
     }
 
-    fn link_target(&self, fed: &Federation, idx: usize) -> Result<String, PlatformError> {
-        let link = &self.links[idx];
-        Ok(format!(
-            "repl:{}->{}",
-            fed.node(link.from)?.host(),
-            fed.node(link.to)?.host()
-        ))
+    /// Emission `seq` of the edge's origin as the edge's policy shares
+    /// it — refetched from the origin journal on every use, so nothing
+    /// in flight or parked ever holds a stale payload.
+    fn outgoing(&self, idx: usize, seq: u64) -> Result<Emission, String> {
+        let Edge { from, policy, .. } = &self.edges[idx];
+        let origin = self
+            .replicas
+            .get(from)
+            .ok_or_else(|| format!("origin {from} down"))?;
+        let own = origin
+            .own_emission(seq)
+            .ok_or_else(|| format!("emission {seq} missing from node {from}"))?;
+        Ok(policy.project(own))
     }
 
-    fn park(&mut self, shipment: Shipment, error: String) {
-        self.telemetry.incr("replication.parked");
-        let now = self.plan.as_ref().map(|p| p.clock().now_ms()).unwrap_or(0);
-        self.dlq.push(shipment, error, now);
-        self.telemetry
-            .set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
+    /// The edge's peer on the delivery link, registered under
+    /// `repl:<from host>-><to host>` the first time the edge is used.
+    fn peer(&mut self, fed: &Federation, idx: usize) -> Result<PeerId, PlatformError> {
+        let edge = &self.edges[idx];
+        if let Some(peer) = edge.peer {
+            return Ok(peer);
+        }
+        let peer = self.link.add_peer(format!(
+            "repl:{}->{}",
+            fed.node(edge.from)?.host(),
+            fed.node(edge.to)?.host()
+        ));
+        self.edges[idx].peer = Some(peer);
+        Ok(peer)
+    }
+
+    /// Counts one event in the telemetry and, when attached, the
+    /// mirrored metrics registry.
+    fn count(&self, name: &str) {
+        self.link.telemetry().incr(name);
+        if let Some(metrics) = &self.metrics {
+            metrics.incr(name);
+        }
     }
 
     /// Maximum replication lag over all links: origin head sequence
     /// minus the receiver's applied cursor.
     pub fn lag(&self) -> u64 {
-        self.links
+        self.edges
             .iter()
             .map(|link| {
                 let Some(origin) = self.replicas.get(&link.from) else {
@@ -1086,7 +987,7 @@ impl Replicator {
     /// Whether every link is fully applied with nothing in flight or
     /// parked.
     pub fn converged(&self) -> bool {
-        self.lag() == 0 && self.delayed.is_empty() && self.dlq.depth() == 0
+        self.lag() == 0 && self.delayed.is_empty() && self.link.depth() == 0
     }
 
     /// A node's own emission log, in sequence order — what a
@@ -1097,7 +998,7 @@ impl Replicator {
             .replicas
             .get(&node)
             .ok_or_else(|| PlatformError::NotFound(format!("replica {node}")))?;
-        Ok((1..replica.next_seq)
+        Ok((1..=replica.head())
             .filter_map(|seq| replica.own_emission(seq))
             .cloned()
             .collect())
@@ -1114,6 +1015,7 @@ impl Replicator {
             .ok_or_else(|| PlatformError::NotFound(format!("replica {node}")))?;
         Ok(replica
             .journal
+            .emissions
             .iter()
             .filter(|e| e.origin.host != replica.host)
             .cloned()
@@ -1122,40 +1024,44 @@ impl Replicator {
 
     /// Parked shipments awaiting [`Replicator::redeliver`].
     pub fn undelivered(&self) -> usize {
-        self.dlq.depth()
+        self.link.depth()
     }
 
-    /// Shipments abandoned after [`REPLICATION_MAX_ATTEMPTS`].
+    /// Shipments abandoned at the link's attempt cap.
     pub fn exhausted(&self) -> usize {
-        self.dlq.exhausted().len()
+        self.link.exhausted()
     }
 
     /// Breaker state of the link `from → to`, if it exists.
     pub fn breaker_state(&self, from: NodeId, to: NodeId) -> Option<BreakerState> {
-        self.links
+        self.edges
             .iter()
             .find(|l| l.from == from && l.to == to)
-            .map(|l| l.breaker.state())
+            .map(|l| {
+                l.peer
+                    .map_or(BreakerState::Closed, |p| self.link.breaker_state(p))
+            })
     }
 
     /// Point-in-time counters for the `/ops` degradation verdict.
     pub fn ops(&self) -> ReplicationOps {
+        let telemetry = self.link.telemetry();
         ReplicationOps {
             lag: self.lag(),
-            dlq_depth: self.dlq.depth(),
-            parked: self.telemetry.counter("replication.parked"),
-            redelivered: self.telemetry.counter("replication.redelivered"),
-            emissions: self.telemetry.counter("replication.emissions"),
-            applied: self.telemetry.counter("replication.applied"),
+            dlq_depth: self.link.depth(),
+            parked: telemetry.counter("replication.parked"),
+            redelivered: telemetry.counter("replication.redelivered"),
+            emissions: telemetry.counter("replication.emissions"),
+            applied: telemetry.counter("replication.applied"),
         }
     }
 
     fn publish_gauges(&self) {
         let lag = self.lag();
-        self.telemetry.set_gauge("replication.lag", lag);
+        self.link.telemetry().set_gauge("replication.lag", lag);
         if let Some(metrics) = &self.metrics {
             metrics.set_gauge("replication.lag", lag);
-            metrics.set_gauge("replication.dlq.depth", self.dlq.depth() as u64);
+            metrics.set_gauge("replication.dlq.depth", self.link.depth() as u64);
         }
     }
 }
@@ -1170,8 +1076,7 @@ impl Replicator {
 /// emissions and downstream idempotent apply absorbs the overlap.
 pub struct EmissionOutbox {
     origin: Acct,
-    storage: Box<dyn Storage>,
-    emissions: Vec<Emission>,
+    journal: EmissionJournal,
     next_seq: u64,
     /// Sequence number up to which a consumer has drained.
     consumed: u64,
@@ -1180,26 +1085,17 @@ pub struct EmissionOutbox {
 impl EmissionOutbox {
     /// Opens (or creates) an outbox journal on `storage`, recovering
     /// the emission sequence exactly.
-    pub fn open(
-        origin: Acct,
-        mut storage: Box<dyn Storage>,
-    ) -> Result<EmissionOutbox, PlatformError> {
-        let bytes = if storage.list().iter().any(|f| f == EMISSIONS_FILE) {
-            storage.read(EMISSIONS_FILE)?
-        } else {
-            storage.create(EMISSIONS_FILE)?;
-            Vec::new()
+    pub fn open(origin: Acct, storage: Box<dyn Storage>) -> Result<EmissionOutbox, PlatformError> {
+        let journal = EmissionJournal::open(storage)?;
+        let next_seq = match journal.emissions.last() {
+            None => 1,
+            Some(last) => last.seq.checked_add(1).ok_or_else(|| {
+                PlatformError::Invalid("emission journal sequence numbers exhausted".into())
+            })?,
         };
-        let (emissions, clean_len) = scan_emissions(&bytes)?;
-        if clean_len < bytes.len() {
-            storage.truncate(EMISSIONS_FILE, clean_len as u64)?;
-            storage.flush(EMISSIONS_FILE)?;
-        }
-        let next_seq = emissions.last().map(|e| e.seq + 1).unwrap_or(1);
         Ok(EmissionOutbox {
             origin,
-            storage,
-            emissions,
+            journal,
             next_seq,
             consumed: 0,
         })
@@ -1225,11 +1121,8 @@ impl EmissionOutbox {
             removals,
             trace,
         };
-        self.storage
-            .append(EMISSIONS_FILE, &frame_emission(&emission))?;
-        self.storage.flush(EMISSIONS_FILE)?;
+        self.journal.append(emission)?;
         self.next_seq += 1;
-        self.emissions.push(emission);
         Ok(self.next_seq - 1)
     }
 
@@ -1242,6 +1135,7 @@ impl EmissionOutbox {
     /// drain position.
     pub fn drain(&mut self) -> Vec<Emission> {
         let pending: Vec<Emission> = self
+            .journal
             .emissions
             .iter()
             .filter(|e| e.seq > self.consumed)
@@ -1258,12 +1152,12 @@ impl EmissionOutbox {
 
     /// Total emissions journaled (including drained ones).
     pub fn len(&self) -> usize {
-        self.emissions.len()
+        self.journal.emissions.len()
     }
 
     /// Whether the journal is empty.
     pub fn is_empty(&self) -> bool {
-        self.emissions.is_empty()
+        self.journal.emissions.is_empty()
     }
 }
 
@@ -1364,6 +1258,159 @@ mod tests {
         let (recovered, offset) = scan_emissions(&bytes).unwrap();
         assert_eq!(recovered, vec![emission]);
         assert_eq!(offset, clean);
+    }
+
+    /// A journal image on fresh storage, as a hostile or buggy writer
+    /// could have left it.
+    fn disk_holding(bytes: &[u8]) -> MemStorage {
+        let mut disk = MemStorage::new();
+        disk.create(EMISSIONS_FILE).unwrap();
+        disk.append(EMISSIONS_FILE, bytes).unwrap();
+        disk.flush(EMISSIONS_FILE).unwrap();
+        disk
+    }
+
+    #[test]
+    fn attach_rejects_a_journal_with_non_dense_own_sequence_numbers() {
+        let mut fed = Federation::new();
+        let n1 = fed.add_node("node1.example").unwrap();
+        let n2 = fed.add_node("node2.example").unwrap();
+        let journal = |seqs: &[u64]| {
+            let bytes: Vec<u8> = seqs
+                .iter()
+                .flat_map(|&seq| {
+                    frame_emission(&Emission {
+                        seq,
+                        ..sample_emission()
+                    })
+                })
+                .collect();
+            Box::new(disk_holding(&bytes))
+        };
+        // Every frame passes its CRC and decodes; the sequence is what
+        // is wrong: a hole, a repeat, a late start.
+        for seqs in [&[1, 3][..], &[1, 1], &[2], &[1, 2, u64::MAX]] {
+            let err = Replicator::new()
+                .attach(&fed, n1, journal(seqs))
+                .err()
+                .unwrap_or_else(|| panic!("own seqs {seqs:?} accepted"));
+            assert!(matches!(err, PlatformError::Invalid(_)), "{seqs:?}: {err}");
+        }
+        let mut repl = Replicator::new();
+        let report = repl.attach(&fed, n1, journal(&[1, 2, 3])).unwrap();
+        assert_eq!((report.recovered, report.next_seq), (3, 4));
+        assert_eq!(repl.replicas[&n1].own_emission(3).unwrap().seq, 3);
+        // At another node the same frames are applied remote emissions:
+        // only the last one matters, as the origin's cursor.
+        let report = repl.attach(&fed, n2, journal(&[5, 9])).unwrap();
+        assert_eq!((report.next_seq, report.origins), (1, 1));
+        assert_eq!(repl.replicas[&n2].cursor("node1.example").seq, 9);
+    }
+
+    /// LEB128, as `codec::put_varint` writes it.
+    fn varint(value: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::put_varint(&mut out, value);
+        out
+    }
+
+    /// One hostile byte string derived from `valid`: arbitrary bytes,
+    /// bit flips, a truncation, trailing garbage, or a length field
+    /// inflated up to `u64::MAX`.
+    fn mutate(rng: &mut DetRng, valid: &[u8]) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        match rng.random_range(0..5u32) {
+            0 => {
+                let len = rng.random_range(0..200usize);
+                bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+            }
+            1 => {
+                for _ in 0..rng.random_range(1..4u32) {
+                    let at = rng.random_range(0..bytes.len());
+                    bytes[at] ^= 1 << rng.random_range(0..8u32);
+                }
+            }
+            2 => bytes.truncate(rng.random_range(0..bytes.len())),
+            3 => {
+                let extra = rng.random_range(1..16usize);
+                bytes.extend((0..extra).map(|_| rng.next_u64() as u8));
+            }
+            _ => {
+                let at = rng.random_range(0..bytes.len());
+                let huge = [u64::MAX, u64::from(u32::MAX), 1 << 40, 1 << 20];
+                let inflated = varint(huge[rng.random_range(0..huge.len())]);
+                bytes.splice(at..=at, inflated);
+            }
+        }
+        bytes
+    }
+
+    /// What a decoder may hand back for hostile input: an emission
+    /// that survives its own round trip, no bigger than the bytes it
+    /// came from, with the pre-allocation guards in force.
+    fn assert_sound(emission: &Emission, input_len: usize) {
+        let encoded = emission.encode();
+        assert_eq!(&Emission::decode(emission.seq, &encoded).unwrap(), emission);
+        // A legacy body lacks the one-byte trace option.
+        assert!(encoded.len() <= input_len + 1, "decoded more than was sent");
+        assert!(emission.additions.capacity() <= 1024.max(2 * emission.additions.len()));
+        assert!(emission.removals.capacity() <= 1024.max(2 * emission.removals.len()));
+    }
+
+    #[test]
+    fn hostile_emission_bytes_yield_errors_never_panics() {
+        let mut rng = DetRng::seed_from_u64(0x5eed_e415).fork("emission-fuzz");
+        let marker = Emission {
+            additions: Vec::new(),
+            removals: Vec::new(),
+            album: None,
+            trace: None,
+            ..sample_emission()
+        };
+        let (mut decoded, mut recovered, mut rejected) = (0, 0, 0);
+        let sample = sample_emission();
+        for case in 0..300 {
+            let valid = if case % 3 == 0 { &marker } else { &sample };
+
+            // A hostile body, straight into the decoder …
+            let body = mutate(&mut rng, &valid.encode());
+            match Emission::decode(valid.seq, &body) {
+                Ok(emission) => {
+                    assert_sound(&emission, body.len());
+                    decoded += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+
+            // … and through the journal: the same body under a valid
+            // CRC and a hostile sequence number, between two honest
+            // frames, then the journal bytes themselves mutated on
+            // every other case.
+            let mut journal = frame_emission(valid);
+            let seq = [1, valid.seq, u64::MAX][case % 3];
+            codec::put_payload_frame(&mut journal, seq, &body);
+            journal.extend(frame_emission(valid));
+            if case % 2 == 1 {
+                journal = mutate(&mut rng, &journal);
+            }
+            match scan_emissions(&journal) {
+                Ok((emissions, clean_len)) => {
+                    assert!(clean_len <= journal.len());
+                    for emission in &emissions {
+                        assert_sound(emission, clean_len);
+                    }
+                    recovered += emissions.len();
+                }
+                Err(_) => rejected += 1,
+            }
+            // Opening it as either kind of journal never panics either.
+            let _ = Replica::open("node1.example".into(), Box::new(disk_holding(&journal)));
+            let _ = EmissionOutbox::open(valid.origin.clone(), Box::new(disk_holding(&journal)));
+        }
+        assert!(
+            decoded > 0 && recovered > 0 && rejected > 300,
+            "every outcome exercised: {decoded} decoded, {recovered} recovered, {rejected} rejected"
+        );
     }
 
     #[test]

@@ -87,24 +87,44 @@ impl<T> DeadLetterQueue<T> {
     /// during the pass are not replayed until the next pass.
     pub fn replay(&mut self, mut process: impl FnMut(&T) -> Result<(), String>) -> ReplayReport {
         let mut report = ReplayReport::default();
-        let batch = std::mem::take(&mut self.letters);
-        for mut letter in batch {
-            match process(&letter.item) {
-                Ok(()) => report.replayed += 1,
-                Err(error) => {
-                    letter.attempts += 1;
-                    letter.last_error = error;
-                    if letter.attempts >= self.max_attempts {
-                        report.exhausted += 1;
-                        self.exhausted.push(letter);
-                    } else {
-                        report.requeued += 1;
-                        self.letters.push(letter);
-                    }
-                }
-            }
+        for letter in self.take_letters() {
+            let outcome = process(&letter.item);
+            self.settle(letter, outcome, &mut report);
         }
         report
+    }
+
+    /// Takes every parked item out for a replay pass the caller drives
+    /// itself — each letter must come back through
+    /// [`DeadLetterQueue::settle`]. [`DeadLetterQueue::replay`] is this
+    /// pair in a loop; the split exists so a processing step that needs
+    /// the queue's owner mutably does not have to swap the queue out.
+    pub fn take_letters(&mut self) -> Vec<DeadLetter<T>> {
+        std::mem::take(&mut self.letters)
+    }
+
+    /// Settles one letter of a replay pass: `Ok` drops it, `Err`
+    /// re-parks it with one more attempt, or moves it to the exhausted
+    /// bucket at the cap.
+    pub fn settle(
+        &mut self,
+        mut letter: DeadLetter<T>,
+        outcome: Result<(), String>,
+        report: &mut ReplayReport,
+    ) {
+        let Err(error) = outcome else {
+            report.replayed += 1;
+            return;
+        };
+        letter.attempts += 1;
+        letter.last_error = error;
+        if letter.attempts >= self.max_attempts {
+            report.exhausted += 1;
+            self.exhausted.push(letter);
+        } else {
+            report.requeued += 1;
+            self.letters.push(letter);
+        }
     }
 }
 

@@ -20,6 +20,9 @@
 //! * [`breaker`] — per-dependency circuit breakers (closed → open after
 //!   N consecutive failures → half-open probe after a cooldown);
 //! * [`dlq`] — generic dead-letter queues with attempt caps and replay;
+//! * [`link`] — the one at-least-once delivery link built from the four
+//!   above: per-peer breaker → fault plan under retry → park → replay,
+//!   shared by replication, live push and federation notifications;
 //! * [`telemetry`] — cloneable named counters/gauges that the platform
 //!   metrics export (breaker state, retry counts, DLQ depth).
 
@@ -29,6 +32,7 @@ pub mod breaker;
 pub mod clock;
 pub mod dlq;
 pub mod fault;
+pub mod link;
 pub mod retry;
 pub mod rng;
 pub mod telemetry;
@@ -37,6 +41,7 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use clock::VirtualClock;
 pub use dlq::{DeadLetter, DeadLetterQueue, ReplayReport};
 pub use fault::{FaultError, FaultKind, FaultPlan, FaultPlanBuilder};
+pub use link::{arrival, Arrival, Frame, Link, PeerId};
 pub use retry::{RetryError, RetryOutcome, RetryPolicy};
 pub use rng::DetRng;
 pub use telemetry::Telemetry;
