@@ -256,6 +256,20 @@ pub struct AlbumCacheStats {
     pub entries: usize,
 }
 
+/// What one [`AlbumCache::view_with`] call did, so a caller publishing
+/// per-view metrics counts its own view and not the deltas of counters
+/// every concurrent viewer shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewOutcome {
+    /// Served from a fresh materialized album.
+    Hit,
+    /// No entry: solved and admitted (a miss).
+    Cold,
+    /// A stale entry was dropped, then solved and admitted (an
+    /// invalidation and a miss).
+    Stale,
+}
+
 /// Epoch-validated memo of solved virtual albums.
 ///
 /// Interior mutability (a mutex around the entry map, atomics for the
@@ -356,7 +370,7 @@ impl AlbumCache {
     /// as-is (hit); a stale one is dropped (invalidation) and, like a
     /// cold view, re-solved and admitted (miss).
     pub fn view(&self, store: &Store, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
-        self.view_with(store, spec, |spec| spec.execute(store))
+        self.view_with(store, spec, |spec| spec.execute(store)).1
     }
 
     /// [`Self::view`] with a caller-supplied solver for the miss path.
@@ -365,18 +379,21 @@ impl AlbumCache {
     /// fingerprint admitted with the result is read from `store`);
     /// callers use this to route cold/stale solves through an
     /// instrumented SPARQL entry point instead of the plain engine.
+    /// The [`ViewOutcome`] is reported whether or not the solve
+    /// succeeded, exactly as the counters are bumped.
     pub fn view_with<F>(
         &self,
         store: &Store,
         spec: &AlbumSpec,
         solve: F,
-    ) -> Result<Vec<String>, PlatformError>
+    ) -> (ViewOutcome, Result<Vec<String>, PlatformError>)
     where
         F: FnOnce(&AlbumSpec) -> Result<Vec<String>, PlatformError>,
     {
         let key = spec.to_sparql();
         let epoch = store.epoch();
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut outcome = ViewOutcome::Cold;
         if let Some(entry) = entries.get_mut(&key) {
             if entry.fp_epoch != epoch {
                 entry.fp = fingerprint(spec, store);
@@ -385,13 +402,17 @@ impl AlbumCache {
             }
             if entry.fp == entry.album.valid_for {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.album.links.clone());
+                return (ViewOutcome::Hit, Ok(entry.album.links.clone()));
             }
             entries.remove(&key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
+            outcome = ViewOutcome::Stale;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let links = solve(spec)?;
+        let links = match solve(spec) {
+            Ok(links) => links,
+            Err(e) => return (outcome, Err(e)),
+        };
         let fp = fingerprint(spec, store);
         self.fingerprint_recomputes.fetch_add(1, Ordering::Relaxed);
         entries.insert(
@@ -406,7 +427,7 @@ impl AlbumCache {
                 fp,
             },
         );
-        Ok(links)
+        (outcome, Ok(links))
     }
 
     /// Installs an externally maintained answer for `spec` — the live

@@ -45,11 +45,6 @@ impl BatchAnnotator {
         BatchAnnotator::default()
     }
 
-    /// A fresh batch job annotating through `pool`.
-    pub fn with_pool(pool: IngestPool) -> BatchAnnotator {
-        BatchAnnotator { cursor: 0, pool }
-    }
-
     /// Processes up to `chunk` pending pictures. Returns the report for
     /// this chunk; [`BatchAnnotator::is_done`] flips when the cursor
     /// passes the end.

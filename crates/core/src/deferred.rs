@@ -96,11 +96,6 @@ impl UploadQueue {
         }
     }
 
-    /// Replaces the ingest pool used by [`UploadQueue::flush`].
-    pub fn set_pool(&mut self, pool: IngestPool) {
-        self.pool = pool;
-    }
-
     /// Sets connectivity. Going online does not flush by itself — the
     /// client calls [`UploadQueue::flush`].
     pub fn set_online(&mut self, online: bool) {

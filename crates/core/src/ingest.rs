@@ -7,7 +7,7 @@
 //! uploads it runs the sequential **prepare** stage
 //! ([`Platform::stage_upload`]) in capture-timestamp order, fans the
 //! read-only **annotation** stage out across scoped worker threads
-//! (the [`lodify_sparql::pool`] partitioning, so chunk order
+//! (`crate::pool`'s contiguous partitioning, so chunk order
 //! reproduces the sequential order exactly), and then drains the
 //! short **commit** stage ([`Platform::commit_staged`]) through a
 //! single committer, again in capture-timestamp order, with WAL
@@ -33,8 +33,9 @@
 //!   `candidates_considered` may differ; they never reach receipts or
 //!   the store.)
 //!
-//! The identity is asserted by tests in `crates/core/tests/ingest.rs`
-//! and measured by bench E18.
+//! The identity is asserted by tests in `crates/core/tests/ingest.rs`,
+//! down to WAL bytes and crash recovery; the ledger's `mixed_rw`
+//! workload times the three stages (`ingest.*_ms`).
 //!
 //! # Snapshot reads
 //!
@@ -83,10 +84,10 @@
 use std::time::Duration;
 
 use lodify_durability::GroupCommitPolicy;
-use lodify_sparql::pool::run_partitioned;
 
 use crate::error::PlatformError;
 use crate::platform::{Platform, StagedLegacy, StagedUpload, Upload, UploadReceipt};
+use crate::pool::run_partitioned;
 
 /// Outcome of one [`IngestPool::ingest`] batch.
 #[derive(Debug, Default)]
@@ -105,8 +106,6 @@ pub struct IngestReport {
     pub stage: Duration,
     /// Total busy time across annotation workers.
     pub annotate_busy: Duration,
-    /// The slowest annotation partition — the parallel critical path.
-    pub annotate_critical: Duration,
     /// Wall-clock spent in the sequential commit stage.
     pub commit: Duration,
 }
@@ -116,22 +115,6 @@ impl IngestReport {
     /// durability barrier held.
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty() && self.flush_error.is_none()
-    }
-
-    /// Partition-limited modeled speedup over sequential ingest, the
-    /// E16 methodology: sequential cost is prepare + *total* annotation
-    /// busy + commit; parallel cost replaces total busy with the
-    /// slowest partition. Independent of how many cores the host
-    /// actually has, so CI smoke runs measure the same thing as a
-    /// 16-core box.
-    pub fn modeled_speedup(&self) -> f64 {
-        let sequential = self.stage + self.annotate_busy + self.commit;
-        let parallel = self.stage + self.annotate_critical + self.commit;
-        if parallel.is_zero() {
-            1.0
-        } else {
-            sequential.as_secs_f64() / parallel.as_secs_f64()
-        }
     }
 }
 
@@ -153,19 +136,16 @@ pub struct LegacyBatchOutcome {
 /// prepare / annotate / commit pipeline, fanning the read-only
 /// annotation stage out across scoped OS threads.
 ///
-/// Configuration is plain data — the pool spawns threads only for the
+/// The pool is a worker count — it spawns threads only for the
 /// duration of a batch ([`std::thread::scope`]), so it holds no
 /// handles and is cheap to construct per call site.
 #[derive(Debug, Clone)]
 pub struct IngestPool {
     workers: usize,
-    spawn_threads: bool,
-    commit_policy: GroupCommitPolicy,
 }
 
 impl Default for IngestPool {
-    /// A pool sized to the host's available parallelism, spawning
-    /// threads, with the default group-commit batching.
+    /// A pool sized to the host's available parallelism.
     fn default() -> IngestPool {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -176,30 +156,12 @@ impl Default for IngestPool {
 
 impl IngestPool {
     /// A pool with `workers` annotation workers (clamped to at least
-    /// one), spawning threads, with the default group-commit batching.
+    /// one). Every batch commits under the default group-commit
+    /// batching.
     pub fn new(workers: usize) -> IngestPool {
         IngestPool {
             workers: workers.max(1),
-            spawn_threads: true,
-            commit_policy: GroupCommitPolicy::default(),
         }
-    }
-
-    /// Disables (or re-enables) thread spawning: partitions run inline
-    /// one after another with identical accounting. Benches use this
-    /// to measure the partition-limited critical path on hosts with
-    /// fewer cores than workers.
-    pub fn with_spawn_threads(mut self, spawn_threads: bool) -> IngestPool {
-        self.spawn_threads = spawn_threads;
-        self
-    }
-
-    /// Overrides the group-commit policy installed for the commit
-    /// stage (the prior policy is restored — and flushed — when the
-    /// batch ends).
-    pub fn with_commit_policy(mut self, policy: GroupCommitPolicy) -> IngestPool {
-        self.commit_policy = policy;
-        self
     }
 
     /// The configured number of annotation workers.
@@ -248,14 +210,13 @@ impl IngestPool {
         // Annotate: read-only against a pinned MVCC snapshot of the
         // pre-batch store, fanned out across contiguous partitions.
         // The pin (O(shards)) means the workers hold no borrow of the
-        // live store across the slow broker/filter calls — concurrent
-        // commits elsewhere (other platforms sharing a
-        // `SharedDurableStore`) proceed untouched, and the snapshot
-        // guarantees every worker reads the same epoch. Merging in
-        // chunk order keeps the results aligned with `staged`.
+        // live store across the slow broker/filter calls, and the
+        // snapshot guarantees every worker reads the same epoch.
+        // Merging in chunk order keeps the results aligned with
+        // `staged`.
         let annotator = platform.annotator();
         let snapshot = platform.store_snapshot();
-        let outcomes = run_partitioned(&staged, self.workers, self.spawn_threads, |chunk| {
+        let outcomes = run_partitioned(&staged, self.workers, |chunk| {
             chunk
                 .iter()
                 .map(|(_, s)| annotator.annotate(&snapshot, &s.content_input()))
@@ -264,7 +225,6 @@ impl IngestPool {
         let mut results = Vec::with_capacity(staged.len());
         for outcome in outcomes {
             report.annotate_busy += outcome.busy;
-            report.annotate_critical = report.annotate_critical.max(outcome.busy);
             results.extend(outcome.out);
         }
         prepare.finish();
@@ -275,7 +235,7 @@ impl IngestPool {
         // uploads issued one by one.
         let commit_span = root.child("ingest.commit");
         let started = metrics.now_micros();
-        let prior = platform.swap_group_commit(self.commit_policy);
+        let prior = platform.swap_group_commit(GroupCommitPolicy::default());
         for ((i, staged), result) in staged.into_iter().zip(results) {
             // Committing under the batch's `ingest.commit` span makes
             // each upload's emission (and the pushes it triggers
@@ -332,7 +292,7 @@ impl IngestPool {
         }
         let annotator = platform.annotator();
         let snapshot = platform.store_snapshot();
-        let outcomes = run_partitioned(&staged, self.workers, self.spawn_threads, |chunk| {
+        let outcomes = run_partitioned(&staged, self.workers, |chunk| {
             chunk
                 .iter()
                 .map(|s| annotator.annotate(&snapshot, &s.content_input()))
@@ -342,7 +302,7 @@ impl IngestPool {
         prepare.finish();
 
         let commit_span = root.child("ingest.commit");
-        let prior = platform.swap_group_commit(self.commit_policy);
+        let prior = platform.swap_group_commit(GroupCommitPolicy::default());
         for (staged, result) in staged.into_iter().zip(results) {
             match platform.commit_legacy(staged.pid(), result) {
                 Ok(fired) => {

@@ -59,6 +59,7 @@ pub mod live;
 pub mod mashup;
 pub mod metrics;
 pub mod platform;
+mod pool;
 pub mod replication;
 pub mod search;
 pub mod traffic;
@@ -69,7 +70,7 @@ pub use albums::AlbumSpec;
 pub use error::PlatformError;
 pub use ingest::{IngestPool, IngestReport};
 pub use live::{LiveService, StandingQueryEngine};
-pub use mashup::{MashupConfig, MashupResult, MashupService};
+pub use mashup::{MashupResult, MashupService};
 pub use platform::{Platform, Upload};
 pub use replication::{Emission, EmissionOutbox, Replicator, SharePolicy};
 pub use search::SearchService;

@@ -16,7 +16,7 @@
 //!
 //! Radii note: the paper passes Virtuoso precisions of 1 / 0.3 / 1 /
 //! 0.2 in SRS units; our `bif:st_intersects` takes kilometers, so the
-//! defaults below keep the *relative* ordering (city ≫ tourism ≈
+//! constants below keep the *relative* ordering (city ≫ tourism ≈
 //! restaurants > UGC) at our synthetic data's scale.
 
 use lodify_rdf::Iri;
@@ -26,36 +26,15 @@ use lodify_store::Store;
 use crate::error::PlatformError;
 use crate::search::resource_point;
 
-/// Mashup radii (kilometers).
-#[derive(Debug, Clone)]
-pub struct MashupConfig {
-    /// City-description arm.
-    pub city_radius_km: f64,
-    /// Restaurants arm.
-    pub restaurant_radius_km: f64,
-    /// Tourism arm.
-    pub tourism_radius_km: f64,
-    /// Other-UGC arm.
-    pub ugc_radius_km: f64,
-    /// Preferred abstract language (the paper filters `lang(?desc)`
-    /// to `'it'`).
-    pub abstract_lang: String,
-    /// Per-arm LIMIT (the paper uses 5).
-    pub per_arm_limit: usize,
-}
-
-impl Default for MashupConfig {
-    fn default() -> Self {
-        MashupConfig {
-            city_radius_km: 30.0,
-            restaurant_radius_km: 1.0,
-            tourism_radius_km: 1.5,
-            ugc_radius_km: 0.3,
-            abstract_lang: "it".into(),
-            per_arm_limit: 5,
-        }
-    }
-}
+// Per-arm radii (see the radii note above).
+const CITY_RADIUS_KM: f64 = 30.0;
+const RESTAURANT_RADIUS_KM: f64 = 1.0;
+const TOURISM_RADIUS_KM: f64 = 1.5;
+const UGC_RADIUS_KM: f64 = 0.3;
+/// Abstract language (the paper filters `lang(?desc)` to `'it'`).
+const ABSTRACT_LANG: &str = "it";
+/// Per-arm LIMIT (the paper uses 5).
+const PER_ARM_LIMIT: usize = 5;
 
 /// One nearby place row.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,21 +60,12 @@ pub struct MashupResult {
 
 /// Runs mashup queries for a picture.
 #[derive(Debug, Clone, Default)]
-pub struct MashupService {
-    config: MashupConfig,
-}
+pub struct MashupService;
 
 impl MashupService {
-    /// Service with default radii.
+    /// Service with the paper's radii, language and per-arm limit.
     pub fn standard() -> MashupService {
-        MashupService {
-            config: MashupConfig::default(),
-        }
-    }
-
-    /// Service with custom radii.
-    pub fn with_config(config: MashupConfig) -> MashupService {
-        MashupService { config }
+        MashupService
     }
 
     /// Builds the structured mashup for a picture resource.
@@ -104,7 +74,6 @@ impl MashupService {
             return Ok(MashupResult::default());
         };
         let wkt = location.to_wkt();
-        let c = &self.config;
 
         // Arm 1 — city description from DBpedia, joined through the
         // LinkedGeoData city node exactly like the paper's query.
@@ -120,9 +89,9 @@ impl MashupService {
                  FILTER langMatches(lang(?desc), '{lang}') .
                  FILTER( bif:st_intersects( "{wkt}", ?locCity, {r} ) ) .
                }} LIMIT {limit}"#,
-            lang = c.abstract_lang,
-            r = c.city_radius_km,
-            limit = c.per_arm_limit,
+            lang = ABSTRACT_LANG,
+            r = CITY_RADIUS_KM,
+            limit = PER_ARM_LIMIT,
         );
         let city = lodify_sparql::execute(store, &city_q)?
             .iter()
@@ -134,8 +103,8 @@ impl MashupService {
                 ))
             });
 
-        let restaurants = self.places(store, &wkt, "lgdo:Restaurant", c.restaurant_radius_km)?;
-        let attractions = self.places(store, &wkt, "lgdo:Tourism", c.tourism_radius_km)?;
+        let restaurants = self.places(store, &wkt, "lgdo:Restaurant", RESTAURANT_RADIUS_KM)?;
+        let attractions = self.places(store, &wkt, "lgdo:Tourism", TOURISM_RADIUS_KM)?;
 
         // Arm 4 — other UGC at the same spot.
         let ugc_q = format!(
@@ -145,8 +114,8 @@ impl MashupService {
                  ?others comm:image-data ?link .
                  FILTER( bif:st_intersects( "{wkt}", ?location, {r} ) ) .
                }} LIMIT {limit}"#,
-            r = c.ugc_radius_km,
-            limit = c.per_arm_limit + 1, // the picture itself may appear
+            r = UGC_RADIUS_KM,
+            limit = PER_ARM_LIMIT + 1, // the picture itself may appear
         );
         let own_link_q = format!(
             "SELECT ?l WHERE {{ <{}> comm:image-data ?l . }}",
@@ -161,7 +130,7 @@ impl MashupService {
             .into_iter()
             .map(|t| t.lexical().to_string())
             .filter(|l| Some(l) != own_link.as_ref())
-            .take(c.per_arm_limit)
+            .take(PER_ARM_LIMIT)
             .collect();
 
         Ok(MashupResult {
@@ -188,7 +157,7 @@ impl MashupService {
                  FILTER (?entType in ({class})) .
                  FILTER( bif:st_intersects( "{wkt}", ?location, {radius} ) ) .
                }} LIMIT {limit}"#,
-            limit = self.config.per_arm_limit,
+            limit = PER_ARM_LIMIT,
         );
         Ok(lodify_sparql::execute(store, &q)?
             .iter()
@@ -203,7 +172,6 @@ impl MashupService {
 
     /// Renders the paper's single 4-arm UNION query for a picture.
     pub fn combined_query(&self, picture: &Iri) -> String {
-        let c = &self.config;
         format!(
             r#"SELECT DISTINCT ?lbl ?entType ?desc ?others WHERE {{
   {{ SELECT DISTINCT ?lbl ?entType ?desc ?others WHERE {{
@@ -250,12 +218,12 @@ impl MashupService {
   }} LIMIT {limit} }}
 }}"#,
             pid = picture.as_str(),
-            lang = c.abstract_lang,
-            city_r = c.city_radius_km,
-            rest_r = c.restaurant_radius_km,
-            tour_r = c.tourism_radius_km,
-            ugc_r = c.ugc_radius_km,
-            limit = c.per_arm_limit,
+            lang = ABSTRACT_LANG,
+            city_r = CITY_RADIUS_KM,
+            rest_r = RESTAURANT_RADIUS_KM,
+            tour_r = TOURISM_RADIUS_KM,
+            ugc_r = UGC_RADIUS_KM,
+            limit = PER_ARM_LIMIT,
         )
     }
 

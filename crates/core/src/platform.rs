@@ -23,7 +23,7 @@ use lodify_store::{GraphId, SnapshotSource, Store, StoreSnapshot};
 use lodify_tripletags::context_tags::tags_for;
 use lodify_tripletags::{Tag, TagIndex, TripleTag};
 
-use crate::albums::{AlbumCache, AlbumCacheStats, AlbumSpec};
+use crate::albums::{AlbumCache, AlbumCacheStats, AlbumSpec, ViewOutcome};
 use crate::error::PlatformError;
 use crate::federation::Acct;
 use crate::live::{LiveAlbumId, LiveService, SubscriberId};
@@ -932,11 +932,9 @@ impl Platform {
     /// back; past the cache's threshold the entry is invalidated so the
     /// next request replans against current statistics.
     ///
-    /// The evaluator's [`lodify_sparql::EvalReport`] feeds
-    /// the `sparql.busy` and `sparql.critical_path` histograms when
-    /// parallel sections ran, and executions crossing the slow-query
-    /// threshold are aggregated in the slow-query log under the
-    /// query's normalized fingerprint, together with the per-operator
+    /// Executions crossing the slow-query threshold are aggregated in
+    /// the slow-query log under the query's normalized fingerprint,
+    /// together with the evaluator's per-operator
     /// [`lodify_sparql::EvalProfile`] breakdown, plan-cache outcome
     /// (`hit` / `miss`) and plan id of the worst run. Every profiled
     /// execution also feeds the per-predicate
@@ -1018,10 +1016,6 @@ impl Platform {
         };
         let metrics = self.obs.metrics();
         metrics.incr("sparql.queries");
-        if report.parallel_sections > 0 {
-            metrics.observe_duration("sparql.busy", report.busy);
-            metrics.observe_duration("sparql.critical_path", report.critical_path);
-        }
         self.cardinality.absorb(&report.profile);
         // Drift only invalidates once the store has moved past the
         // plan's epoch: same-epoch drift is cost-model error a replan
@@ -1098,11 +1092,10 @@ impl Platform {
     /// `sparql.eval` histograms and the slow-query log like any other
     /// query.
     pub fn view_album(&self, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
-        let before = self.album_cache.stats();
         let span = self.obs.tracer().start("album.view");
         // A cold solve's `sparql` span nests under the view.
         let entered = span.enter();
-        let out = self
+        let (outcome, out) = self
             .album_cache
             .view_with(self.store.store(), spec, |spec| {
                 let results = self.query(&spec.to_sparql())?;
@@ -1114,13 +1107,15 @@ impl Platform {
             });
         drop(entered);
         span.finish();
-        let after = self.album_cache.stats();
+        // What this call did — the cache's own counters are shared by
+        // every web worker, so a before/after delta would also count
+        // the views that overlapped this one.
         let metrics = self.obs.metrics();
-        metrics.add("album.cache.hits", after.hits - before.hits);
-        metrics.add("album.cache.misses", after.misses - before.misses);
+        metrics.add("album.cache.hits", u64::from(outcome == ViewOutcome::Hit));
+        metrics.add("album.cache.misses", u64::from(outcome != ViewOutcome::Hit));
         metrics.add(
             "album.cache.invalidations",
-            after.invalidations - before.invalidations,
+            u64::from(outcome == ViewOutcome::Stale),
         );
         out
     }

@@ -1,34 +1,29 @@
-//! Deterministic fork/join partitioning for BGP evaluation.
+//! Deterministic fork/join partitioning for the ingest pool's
+//! annotation stage.
 //!
-//! The evaluator's unit of parallelism is a **batch of candidate
-//! bindings**: probing the store for one binding is independent of
-//! every other binding, so a batch can be split into contiguous chunks
-//! and probed on separate OS threads. Merging the per-chunk outputs in
-//! chunk order reproduces the sequential output byte for byte — the
-//! determinism guarantee the rest of the engine (DISTINCT, ORDER BY
-//! ties, LIMIT) relies on.
+//! Annotating one staged upload is independent of every other, so a
+//! batch can be split into contiguous chunks and annotated on separate
+//! OS threads. Merging the per-chunk outputs in chunk order reproduces
+//! the sequential output exactly — what keeps batched ingest
+//! byte-identical to one upload at a time.
 //!
 //! Threads are spawned with [`std::thread::scope`], so chunks borrow
-//! the store and the candidate bindings directly — no `'static` bound,
-//! no external thread-pool dependency (the workspace is offline,
-//! std-only). Each chunk also records how many items it processed and
-//! how long it stayed busy; the evaluator aggregates those into an
-//! [`EvalReport`](crate::eval::EvalReport) so benches can measure both
-//! wall-clock speedup and the partition-limited critical path on any
-//! host, including single-core CI runners.
+//! the snapshot and the staged items directly — no `'static` bound, no
+//! external thread-pool dependency (the workspace is offline,
+//! std-only). Each chunk also records how long it stayed busy, which
+//! [`IngestReport::annotate_busy`](crate::ingest::IngestReport::annotate_busy)
+//! sums.
 
 use std::time::Duration;
 
-use crate::profile::WallTimer;
+use lodify_sparql::profile::WallTimer;
 
-/// What one partition produced: its outputs (in input order), how many
-/// input items it consumed, and how long the work took.
+/// What one partition produced: its outputs (in input order) and how
+/// long the work took.
 #[derive(Debug)]
-pub struct ChunkOutcome<T> {
+pub(crate) struct ChunkOutcome<T> {
     /// Outputs for this chunk's slice of the input, in input order.
     pub out: Vec<T>,
-    /// Number of input items the chunk processed.
-    pub items: usize,
     /// Time the chunk spent working (measured inside the worker).
     pub busy: Duration,
 }
@@ -36,19 +31,10 @@ pub struct ChunkOutcome<T> {
 /// Splits `items` into `workers` contiguous chunks (sizes differing by
 /// at most one) and runs `work` over each chunk, returning outcomes
 /// **in chunk order** so concatenating `out` reproduces the sequential
-/// result exactly.
-///
-/// With `spawn_threads`, chunks after the first run on scoped OS
-/// threads while the caller's thread takes chunk 0. Without it, chunks
-/// run inline one after another — same partitioning, same accounting,
-/// no thread overhead — which benches use to time each partition
-/// accurately on machines with fewer cores than workers.
-pub fn run_partitioned<I, T, F>(
-    items: &[I],
-    workers: usize,
-    spawn_threads: bool,
-    work: F,
-) -> Vec<ChunkOutcome<T>>
+/// result exactly. Chunks after the first run on scoped OS threads
+/// while the caller's thread takes chunk 0; a single chunk spawns
+/// nothing.
+pub(crate) fn run_partitioned<I, T, F>(items: &[I], workers: usize, work: F) -> Vec<ChunkOutcome<T>>
 where
     I: Sync,
     T: Send,
@@ -56,12 +42,6 @@ where
 {
     let workers = workers.clamp(1, items.len().max(1));
     let chunks: Vec<&[I]> = split_even(items, workers);
-    if workers <= 1 || !spawn_threads {
-        return chunks
-            .into_iter()
-            .map(|chunk| run_chunk(chunk, &work))
-            .collect();
-    }
     let work = &work;
     std::thread::scope(|scope| {
         let mut rest = chunks.into_iter();
@@ -70,10 +50,10 @@ where
             .map(|chunk| scope.spawn(move || run_chunk(chunk, work)))
             .collect();
         let mut outcomes = Vec::with_capacity(workers);
-        outcomes.push(run_chunk(first, &work));
+        outcomes.push(run_chunk(first, work));
         for handle in handles {
             // A panicking worker propagates: same behaviour as the
-            // sequential engine panicking mid-batch.
+            // sequential path panicking mid-batch.
             outcomes.push(handle.join().expect("worker panicked"));
         }
         outcomes
@@ -85,7 +65,6 @@ fn run_chunk<I, T>(chunk: &[I], work: &(impl Fn(&[I]) -> Vec<T> + Sync)) -> Chun
     let out = work(chunk);
     ChunkOutcome {
         out,
-        items: chunk.len(),
         busy: started.elapsed(),
     }
 }
@@ -130,23 +109,22 @@ mod tests {
         let items: Vec<u32> = (0..257).collect();
         let work = |chunk: &[u32]| chunk.iter().map(|x| x * 2).collect::<Vec<_>>();
         let sequential: Vec<u32> = work(&items);
-        for spawn_threads in [false, true] {
-            for workers in [1, 2, 4, 7] {
-                let outcomes = run_partitioned(&items, workers, spawn_threads, work);
-                let merged: Vec<u32> = outcomes.into_iter().flat_map(|o| o.out).collect();
-                assert_eq!(merged, sequential, "workers={workers}");
-            }
+        // One worker runs inline on the caller's thread, more spawn.
+        for workers in [1, 2, 4, 7] {
+            let outcomes = run_partitioned(&items, workers, work);
+            let merged: Vec<u32> = outcomes.into_iter().flat_map(|o| o.out).collect();
+            assert_eq!(merged, sequential, "workers={workers}");
         }
     }
 
     #[test]
     fn more_workers_than_items_degrades_gracefully() {
         let items = vec![1, 2];
-        let outcomes = run_partitioned(&items, 8, true, |c| c.to_vec());
+        let outcomes = run_partitioned(&items, 8, |c| c.to_vec());
         assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes.iter().map(|o| o.items).sum::<usize>(), 2);
+        assert_eq!(outcomes.iter().map(|o| o.out.len()).sum::<usize>(), 2);
         let empty: Vec<i32> = Vec::new();
-        let outcomes = run_partitioned(&empty, 4, true, |c| c.to_vec());
+        let outcomes = run_partitioned(&empty, 4, |c| c.to_vec());
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].out.is_empty());
     }

@@ -135,23 +135,14 @@ fn batched_ingest_is_byte_identical_to_sequential() {
 fn worker_count_does_not_change_results() {
     let mut one = Platform::bootstrap(WorkloadConfig::small(42)).unwrap();
     let mut four = Platform::bootstrap(WorkloadConfig::small(42)).unwrap();
-    let mut inline = Platform::bootstrap(WorkloadConfig::small(42)).unwrap();
 
     let a = IngestPool::new(1).ingest(&mut one, batch());
     let b = IngestPool::new(4).ingest(&mut four, batch());
-    let c = IngestPool::new(4)
-        .with_spawn_threads(false)
-        .ingest(&mut inline, batch());
 
     assert_eq!(a.receipts, b.receipts);
-    assert_eq!(a.receipts, c.receipts);
     assert_eq!(
         one.store().export_ntriples(None),
         four.store().export_ntriples(None)
-    );
-    assert_eq!(
-        one.store().export_ntriples(None),
-        inline.store().export_ntriples(None)
     );
 }
 

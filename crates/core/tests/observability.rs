@@ -199,3 +199,42 @@ fn disabled_observability_runs_the_same_engine_path() {
     assert!(!obs.tracer().recent_spans(8).is_empty());
     assert_eq!(obs.slow_queries().len(), 1);
 }
+
+/// Web workers share one platform, so `/album` views overlap. Each
+/// view must publish what *it* did: the `album.cache.*` counters on
+/// `/metrics` have to add up to the number of views and agree with the
+/// cache's own statistics. (Published as a before/after delta of the
+/// shared statistics, two overlapping hits each counted both.)
+#[test]
+fn concurrent_album_views_count_each_view_once() {
+    use lodify_core::AlbumSpec;
+    const THREADS: usize = 8;
+    const VIEWS: usize = 250;
+
+    let platform = Platform::bootstrap(WorkloadConfig::small(31)).unwrap();
+    let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                start.wait();
+                for _ in 0..VIEWS {
+                    platform.view_album(&spec).unwrap();
+                }
+            });
+        }
+    });
+
+    let metrics = platform.obs().metrics();
+    let stats = platform.album_cache_stats();
+    assert_eq!(
+        metrics.counter("album.cache.hits") + metrics.counter("album.cache.misses"),
+        (THREADS * VIEWS) as u64
+    );
+    assert_eq!(metrics.counter("album.cache.hits"), stats.hits);
+    assert_eq!(metrics.counter("album.cache.misses"), stats.misses);
+    assert_eq!(
+        metrics.counter("album.cache.invalidations"),
+        stats.invalidations
+    );
+}

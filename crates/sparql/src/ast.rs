@@ -139,8 +139,6 @@ impl TriplePattern {
         [&self.subject, &self.predicate, &self.object]
             .into_iter()
             .filter_map(|t| t.as_var())
-            .collect::<Vec<_>>()
-            .into_iter()
     }
 }
 

@@ -6,29 +6,13 @@
 //! [`RunPlan`](crate::plan::RunPlan): the [`Plan`]'s when it covers the
 //! run's entry key, otherwise the one [`crate::plan`] computes cold at
 //! run entry — so [`evaluate_planned`] with `Plan::default()` *is* the
-//! unplanned engine, not a second one.
-//!
-//! # Parallel execution
-//!
-//! With [`EvalOptions::workers`] > 1 the evaluator partitions the
-//! candidate bindings of a basic graph pattern across a scoped-thread
-//! worker pool ([`crate::pool`]). The split point is picked from the
-//! store's index cardinalities (the same counts that feed
-//! [`lodify_store::stats`]): walking the ordered run, the
-//! first pattern whose subject is a still-unbound variable with at
-//! least [`EvalOptions::parallel_threshold`] matching triples is the
-//! *split pattern*, and that subject is the *split variable* — the
-//! bindings it produces are what get partitioned, so every later probe
-//! and every CPU-heavy `FILTER` (e.g. `bif:st_intersects`) runs on all
-//! workers. Chunks are contiguous and merged in chunk order, which
-//! makes parallel output **byte-identical** to the sequential engine —
-//! asserted by the identity tests in `tests/paper_queries.rs` and the
-//! property corpus.
+//! unplanned engine, not a second one. Every step runs on the calling
+//! thread: a pattern probes the whole batch of bindings, a filter is
+//! one `retain` over it.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use lodify_rdf::ns::PrefixMap;
 use lodify_rdf::{Literal, Term};
@@ -38,72 +22,23 @@ use crate::ast::*;
 use crate::error::SparqlError;
 use crate::expr::{self, ExprError};
 use crate::plan::{cold_order, run_key, Estimator, Plan};
-use crate::pool;
 use crate::profile::{EvalProfile, OperatorKind, OperatorProfile, WallTimer};
 use crate::results::QueryResults;
 
-/// Evaluator tuning knobs for parallel execution.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// Number of partitions for BGP probing and filter application.
-    /// `1` (the default) is the sequential engine; `n > 1` splits
-    /// candidate bindings into `n` contiguous chunks with a
-    /// deterministic in-order merge.
-    pub workers: usize,
-    /// Minimum statistics-estimated cardinality a pattern in a BGP run
-    /// must reach before the run is considered worth partitioning.
-    /// Identity tests set this to 0 to force the parallel path on
-    /// small fixtures.
-    pub parallel_threshold: usize,
-    /// Execute partitions on scoped OS threads (default). When off,
-    /// partitions run inline on the calling thread — identical
-    /// results and accounting without thread overhead, which benches
-    /// use to time each partition honestly on hosts with fewer cores
-    /// than workers.
-    pub spawn_threads: bool,
-}
+/// Evaluation options: none. The type has no fields and exists for one
+/// reason — the ledger (`benchmark/`, which an engine PR may not edit)
+/// passes `EvalOptions::default()` as [`evaluate_planned`]'s third
+/// argument. The next benchmark-only PR (ROADMAP item 1) may drop the
+/// argument and this type with it; per-query row and time budgets
+/// (ROADMAP item 5c) are the only thing that would give it fields.
+/// (Braced rather than a unit struct so that `EvalOptions::default()`,
+/// the spelling every caller uses, stays clippy-clean.)
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EvalOptions {}
 
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            workers: 1,
-            parallel_threshold: 64,
-            spawn_threads: true,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Sequential defaults with `workers` partitions.
-    pub fn parallel(workers: usize) -> Self {
-        EvalOptions {
-            workers,
-            ..EvalOptions::default()
-        }
-    }
-}
-
-/// What the parallel executor did for one query: section counts, item
-/// counts, and two time aggregates that let a bench compute speedup
-/// without needing as many physical cores as workers.
+/// What one evaluation did, beside its rows.
 #[derive(Debug, Clone, Default)]
 pub struct EvalReport {
-    /// Parallel sections run (pattern probes + filter applications).
-    pub parallel_sections: u64,
-    /// Candidate bindings processed across all parallel sections.
-    pub parallel_items: u64,
-    /// Sum over sections of the largest per-worker item share — the
-    /// item-count critical path. `parallel_items / critical_items`
-    /// is the partition-balance upper bound on speedup.
-    pub critical_items: u64,
-    /// Total busy time summed over every partition (≈ sequential work).
-    pub busy: Duration,
-    /// Sum over sections of the slowest partition's busy time: the
-    /// time a perfectly scheduled `workers`-core machine would need.
-    pub critical_path: Duration,
-    /// The split variable chosen from join statistics for the last
-    /// partitioned BGP run, if any.
-    pub split_variable: Option<String>,
     /// The store's mutation epoch the query evaluated at. Under MVCC
     /// this pins the answer's provenance: two evaluations reporting the
     /// same `store_epoch` are guaranteed byte-identical, and a cache
@@ -125,26 +60,6 @@ pub struct EvalReport {
     pub plan_drift: f64,
 }
 
-impl EvalReport {
-    /// Measured-time speedup bound: total partition work divided by the
-    /// slowest-partition critical path (1.0 when nothing ran parallel).
-    pub fn modeled_speedup(&self) -> f64 {
-        if self.critical_path.is_zero() {
-            return 1.0;
-        }
-        self.busy.as_secs_f64() / self.critical_path.as_secs_f64()
-    }
-
-    /// Item-count balance bound on speedup (1.0 when nothing ran
-    /// parallel): how evenly the bindings split across workers.
-    pub fn balance(&self) -> f64 {
-        if self.critical_items == 0 {
-            return 1.0;
-        }
-        self.parallel_items as f64 / self.critical_items as f64
-    }
-}
-
 /// Evaluates a parsed query — the one way in. Each BGP run whose
 /// [`run_key`] the [`Plan`] covers executes in the planned order, with
 /// the plan's estimates feeding the operator profile (so est-vs-actual
@@ -157,12 +72,11 @@ impl EvalReport {
 pub fn evaluate_planned(
     store: &Store,
     query: &Query,
-    options: EvalOptions,
+    _options: EvalOptions,
     plan: &Plan,
 ) -> Result<(QueryResults, EvalReport), SparqlError> {
     let ev = Evaluator {
         store,
-        options,
         estimator: Estimator::new(store),
         plan,
         report: RefCell::new(EvalReport::default()),
@@ -323,10 +237,9 @@ impl IdResults {
 
 struct Evaluator<'s> {
     store: &'s Store,
-    options: EvalOptions,
     /// The one cardinality probe API ([`crate::plan::Estimator`]):
-    /// cold ordering, split selection, and the planner all estimate
-    /// through it, so they can never disagree.
+    /// cold ordering and the planner both estimate through it, so
+    /// they can never disagree.
     estimator: Estimator<'s>,
     /// The plan to follow; runs it does not cover are ordered cold.
     plan: &'s Plan,
@@ -334,25 +247,6 @@ struct Evaluator<'s> {
 }
 
 impl<'s> Evaluator<'s> {
-    /// Folds one fork/join section's per-chunk accounting into the
-    /// query report (called on the coordinating thread after merge).
-    fn note_section<T>(&self, outcomes: &[pool::ChunkOutcome<T>]) {
-        let mut report = self.report.borrow_mut();
-        report.parallel_sections += 1;
-        report.parallel_items += outcomes.iter().map(|o| o.items as u64).sum::<u64>();
-        report.critical_items += outcomes.iter().map(|o| o.items as u64).max().unwrap_or(0);
-        report.busy += outcomes.iter().map(|o| o.busy).sum::<Duration>();
-        report.critical_path += outcomes.iter().map(|o| o.busy).max().unwrap_or_default();
-    }
-
-    /// Whether a batch of this size can fork at all: something to
-    /// split, and parallelism enabled. (The pool clamps the partition
-    /// count to the batch size; the statistics threshold in
-    /// [`Evaluator::pick_split`] is the cost-based gate.)
-    fn should_fork(&self, batch: usize) -> bool {
-        self.options.workers > 1 && batch >= 2
-    }
-
     // ---------- top-level pipelines ----------
 
     fn evaluate_ids(&self, query: &Query) -> Result<IdResults, SparqlError> {
@@ -390,7 +284,7 @@ impl<'s> Evaluator<'s> {
         }
         if query.order_by.is_empty() {
             // Without ORDER BY the raw row order would leak the join
-            // order — cold, planned and parallel evaluation must stay
+            // order — cold and planned evaluation must stay
             // byte-identical, so pin a canonical term order (layout-
             // independent: terms compare by value, not by id).
             rows.sort_by(|a, b| {
@@ -631,20 +525,11 @@ impl<'s> Evaluator<'s> {
                     };
                     let ordered: Vec<&TriplePattern> =
                         run_plan.order.iter().map(|&idx| run[idx]).collect();
-                    // Join statistics decide whether (and where) this
-                    // run is worth partitioning: probes after the
-                    // split pattern see its bindings fan out and run
-                    // on the worker pool.
-                    let split = self.pick_split(&ordered, &bound, reg);
-                    if let Some((_, var)) = &split {
-                        self.report.borrow_mut().split_variable = Some(var.clone());
-                    }
                     for (k, pattern) in ordered.iter().enumerate() {
-                        let fork = split.as_ref().is_some_and(|&(idx, _)| k > idx);
                         let estimated = run_plan.estimates[k];
                         let input_rows = solutions.len() as u64;
                         let timer = WallTimer::start();
-                        solutions = self.match_pattern(pattern, solutions, reg, fork)?;
+                        solutions = self.match_pattern(pattern, solutions, reg)?;
                         self.report.borrow_mut().profile.push(OperatorProfile {
                             kind: if k == 0 {
                                 OperatorKind::Scan
@@ -679,7 +564,6 @@ impl<'s> Evaluator<'s> {
                             &mut applied,
                             &bound,
                             reg,
-                            fork,
                         );
                         if solutions.is_empty() {
                             break;
@@ -728,13 +612,13 @@ impl<'s> Evaluator<'s> {
                 }
                 Element::Filter(_) => unreachable!("filters were partitioned out"),
             }
-            self.apply_ready_filters(&mut solutions, &pending, &mut applied, &bound, reg, false);
+            self.apply_ready_filters(&mut solutions, &pending, &mut applied, &bound, reg);
         }
 
         // Remaining filters apply at group end, whatever is bound.
         for (idx, (e, _)) in pending.iter().enumerate() {
             if !applied[idx] {
-                self.retain_filter(&mut solutions, e, reg, false);
+                self.retain_filter(&mut solutions, e, reg);
             }
         }
         Ok(solutions)
@@ -747,30 +631,23 @@ impl<'s> Evaluator<'s> {
         applied: &mut [bool],
         bound: &HashSet<usize>,
         reg: &Registry,
-        fork: bool,
     ) {
         for (idx, (e, slots)) in pending.iter().enumerate() {
             if !applied[idx] && slots.is_subset(bound) {
-                self.retain_filter(solutions, e, reg, fork);
+                self.retain_filter(solutions, e, reg);
                 applied[idx] = true;
             }
         }
     }
 
-    fn retain_filter(
-        &self,
-        solutions: &mut Vec<Binding>,
-        filter: &Expr,
-        reg: &Registry,
-        fork: bool,
-    ) {
+    fn retain_filter(&self, solutions: &mut Vec<Binding>, filter: &Expr, reg: &Registry) {
         // Variable → slot resolution happens once per filter, not once
         // per row: per-row lookups are a scan of this (tiny) table
         // instead of a string hash into the registry.
         let slots = compile_slots(filter, reg);
         let input_rows = solutions.len() as u64;
         let timer = WallTimer::start();
-        let keep_row = |b: &Binding| -> bool {
+        solutions.retain(|b| {
             let lookup = |name: &str| -> Option<&Term> {
                 compiled_slot(&slots, name)
                     .and_then(|slot| b[slot])
@@ -781,22 +658,7 @@ impl<'s> Evaluator<'s> {
                 // SPARQL: filter errors (incl. unbound vars) reject the row.
                 Err(ExprError::Unbound(_)) | Err(ExprError::Type(_)) => false,
             }
-        };
-        if fork && self.should_fork(solutions.len()) {
-            // Evaluate the predicate on all workers, then apply the
-            // keep-mask in order — identical to a sequential retain.
-            let outcomes = pool::run_partitioned(
-                solutions,
-                self.options.workers,
-                self.options.spawn_threads,
-                |chunk| chunk.iter().map(keep_row).collect(),
-            );
-            self.note_section(&outcomes);
-            let mut verdicts = outcomes.into_iter().flat_map(|o| o.out);
-            solutions.retain(|_| verdicts.next().expect("one verdict per row"));
-        } else {
-            solutions.retain(|b| keep_row(b));
-        }
+        });
         let vars: Vec<String> = slots.iter().map(|(n, _)| format!("?{n}")).collect();
         self.report.borrow_mut().profile.push(OperatorProfile {
             kind: OperatorKind::Filter,
@@ -811,52 +673,11 @@ impl<'s> Evaluator<'s> {
         });
     }
 
-    /// Picks the parallel split point for an ordered BGP run from the
-    /// store's index cardinalities: the first pattern whose subject is
-    /// a still-unbound variable and whose exact match count reaches
-    /// [`EvalOptions::parallel_threshold`]. Returns its index and that
-    /// subject variable — the bindings it produces are what later
-    /// probes partition. `None` disables forking for the run.
-    fn pick_split(
-        &self,
-        ordered: &[&TriplePattern],
-        bound: &HashSet<usize>,
-        reg: &Registry,
-    ) -> Option<(usize, String)> {
-        if self.options.workers <= 1 {
-            return None;
-        }
-        let mut sim_bound = bound.clone();
-        for (idx, pattern) in ordered.iter().enumerate() {
-            // Only a pattern whose subject is still unbound scans the
-            // index and multiplies the batch; a bound-subject probe
-            // yields O(1) rows per binding and is not worth splitting.
-            let fresh_subject = match &pattern.subject {
-                TermOrVar::Var(v) if reg.slot(v).is_some_and(|s| !sim_bound.contains(&s)) => {
-                    Some(v)
-                }
-                _ => None,
-            };
-            if let Some(var) = fresh_subject {
-                if self.estimator.exact_count(pattern) >= self.options.parallel_threshold {
-                    return Some((idx, var.to_string()));
-                }
-            }
-            for v in pattern.vars() {
-                if let Some(slot) = reg.slot(v) {
-                    sim_bound.insert(slot);
-                }
-            }
-        }
-        None
-    }
-
     fn match_pattern(
         &self,
         pattern: &TriplePattern,
         solutions: Vec<Binding>,
         reg: &Registry,
-        fork: bool,
     ) -> Result<Vec<Binding>, SparqlError> {
         enum Slot {
             Const(TermId),
@@ -903,38 +724,22 @@ impl<'s> Evaluator<'s> {
             }
         };
 
-        let probe = |chunk: &[Binding]| -> Vec<Binding> {
-            let mut out = Vec::new();
-            for b in chunk {
-                let sq = query_pos(&s_slot, b);
-                let pq = query_pos(&p_slot, b);
-                let oq = query_pos(&o_slot, b);
-                for (s, p, o) in self.store.match_ids(sq, pq, oq) {
-                    let mut nb = b.clone();
-                    if assign(&s_slot, s, &mut nb)
-                        && assign(&p_slot, p, &mut nb)
-                        && assign(&o_slot, o, &mut nb)
-                    {
-                        out.push(nb);
-                    }
+        let mut out = Vec::new();
+        for b in &solutions {
+            let sq = query_pos(&s_slot, b);
+            let pq = query_pos(&p_slot, b);
+            let oq = query_pos(&o_slot, b);
+            for (s, p, o) in self.store.match_ids(sq, pq, oq) {
+                let mut nb = b.clone();
+                if assign(&s_slot, s, &mut nb)
+                    && assign(&p_slot, p, &mut nb)
+                    && assign(&o_slot, o, &mut nb)
+                {
+                    out.push(nb);
                 }
             }
-            out
-        };
-        if fork && self.should_fork(solutions.len()) {
-            let outcomes = pool::run_partitioned(
-                &solutions,
-                self.options.workers,
-                self.options.spawn_threads,
-                probe,
-            );
-            self.note_section(&outcomes);
-            // Deterministic merge: chunk order == input order, so the
-            // concatenation equals the sequential probe output.
-            Ok(outcomes.into_iter().flat_map(|o| o.out).collect())
-        } else {
-            Ok(probe(&solutions))
         }
+        Ok(out)
     }
 
     fn sort_solutions(

@@ -63,7 +63,6 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
-pub mod pool;
 pub mod profile;
 pub mod results;
 

@@ -15,9 +15,9 @@
 //!    the exact index probe ([`Estimator::exact_count`]), and the
 //!    calibration layer that scales heuristic estimates by the
 //!    observed [`misestimate`](crate::profile::PredicateStats::misestimate) ratio accumulated in a
-//!    [`CardinalityProfile`]. The evaluator's parallel split selection
-//!    routes through the same probes, so planner and executor can
-//!    never disagree about an estimate.
+//!    [`CardinalityProfile`]. The evaluator's cold ordering routes
+//!    through the same probes, so planner and executor can never
+//!    disagree about an estimate.
 //! 2. [`plan_query`] walks the query's group tree exactly like the
 //!    evaluator will and runs a join-order search per BGP run: exact
 //!    dynamic programming over subsets for runs of up to
@@ -65,14 +65,13 @@ const CALIBRATION_CLAMP: f64 = 32.0;
 /// trusted for calibration.
 const CALIBRATION_MIN_OBSERVATIONS: u64 = 2;
 
-/// The single cardinality probe API shared by the join-order searches
-/// and the evaluator's parallel split selection.
+/// The single cardinality probe API shared by the join-order searches.
 ///
 /// Three probes, strongest first:
 ///
 /// * [`Estimator::exact_count`] — the true index cardinality of a
 ///   pattern's constant positions. Skew-proof, used for opening
-///   patterns and the parallel-split threshold.
+///   patterns.
 /// * calibrated heuristic — the uniform heuristic scaled by the
 ///   predicate's observed actual/estimated ratio from a
 ///   [`CardinalityProfile`], once enough executions were observed.
@@ -142,8 +141,7 @@ impl<'s> Estimator<'s> {
     /// fan-out a probe of this pattern can produce. Unlike the
     /// selectivity heuristic (which shrinks as variables bind, by
     /// design), this is the true number of candidate bindings the
-    /// pattern feeds downstream, so it is the honest quantity to weigh
-    /// against the parallel threshold and the skew-proof estimate for
+    /// pattern feeds downstream, so it is the skew-proof estimate for
     /// an opening pattern.
     pub fn exact_count(&self, p: &TriplePattern) -> usize {
         let id = |tov: &TermOrVar| match tov {

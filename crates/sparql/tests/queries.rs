@@ -656,69 +656,19 @@ fn explain_shows_greedy_join_order() {
     );
 }
 
-/// Evaluates `query` cold (no compiled plan) under explicit options.
-fn run_with(
+/// Evaluates `query` cold (no compiled plan).
+fn run_cold(
     store: &Store,
     query: &str,
-    options: lodify_sparql::EvalOptions,
 ) -> (lodify_sparql::QueryResults, lodify_sparql::EvalReport) {
     let parsed = lodify_sparql::parse(query).unwrap();
-    lodify_sparql::evaluate_planned(store, &parsed, options, &lodify_sparql::Plan::default())
-        .unwrap()
-}
-
-// ---------------------------------------------------------------------
-// Parallel execution: byte-identical to the sequential engine.
-// ---------------------------------------------------------------------
-
-#[test]
-fn parallel_evaluation_is_byte_identical_on_paper_queries() {
-    use lodify_sparql::EvalOptions;
-    let store = paper_store();
-    for query in [Q1, Q2, Q3] {
-        let sequential = execute(&store, query).unwrap();
-        for spawn_threads in [true, false] {
-            for workers in [2, 3, 4, 7] {
-                let options = EvalOptions {
-                    workers,
-                    // Tiny fixture: force the parallel path regardless
-                    // of what the statistics estimate.
-                    parallel_threshold: 0,
-                    spawn_threads,
-                };
-                let (parallel, report) = run_with(&store, query, options);
-                assert_eq!(sequential.vars, parallel.vars);
-                assert_eq!(
-                    sequential.rows, parallel.rows,
-                    "workers={workers} spawn_threads={spawn_threads}"
-                );
-                assert!(
-                    report.parallel_sections > 0,
-                    "threshold 0 must engage the pool (workers={workers})"
-                );
-                assert!(report.split_variable.is_some());
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_report_stays_quiet_below_the_stats_threshold() {
-    use lodify_sparql::EvalOptions;
-    let store = paper_store();
-    // The fixture's statistics never reach a huge threshold, so the
-    // split picker must keep the whole run sequential.
-    let options = EvalOptions {
-        workers: 4,
-        parallel_threshold: 1_000_000,
-        ..EvalOptions::default()
-    };
-    let (results, report) = run_with(&store, Q1, options);
-    assert_eq!(results.rows, execute(&store, Q1).unwrap().rows);
-    assert_eq!(report.parallel_sections, 0);
-    assert_eq!(report.modeled_speedup(), 1.0);
-    assert_eq!(report.balance(), 1.0);
-    assert!(report.split_variable.is_none());
+    lodify_sparql::evaluate_planned(
+        store,
+        &parsed,
+        lodify_sparql::EvalOptions::default(),
+        &lodify_sparql::Plan::default(),
+    )
+    .unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -727,10 +677,10 @@ fn parallel_report_stays_quiet_below_the_stats_threshold() {
 
 #[test]
 fn eval_profile_covers_every_paper_query_operator() {
-    use lodify_sparql::{CardinalityProfile, EvalOptions, OperatorKind};
+    use lodify_sparql::{CardinalityProfile, OperatorKind};
     let store = paper_store();
     for (name, query) in [("Q1", Q1), ("Q2", Q2), ("Q3", Q3)] {
-        let (_, report) = run_with(&store, query, EvalOptions::default());
+        let (_, report) = run_cold(&store, query);
         let ops = report.profile.operators();
         assert!(
             ops.iter().any(|o| o.kind == OperatorKind::Scan),
@@ -766,10 +716,59 @@ fn eval_profile_covers_every_paper_query_operator() {
         assert!(registry.stats(ns::iri::rdfs_label().as_str()).is_some());
     }
     // Q3's ORDER BY shows up as a sort operator.
-    let (_, report) = run_with(&store, Q3, EvalOptions::default());
+    let (_, report) = run_cold(&store, Q3);
     assert!(report
         .profile
         .operators()
         .iter()
         .any(|o| o.kind == OperatorKind::Sort && o.label == "sort(1 key)"));
+}
+
+/// Golden captured at the commit before the fork/join BGP executor was
+/// deleted: every operator the cold engine runs for Q1–Q3 — order,
+/// label, estimate, rows in and out. A change to `match_pattern` or
+/// `retain_filter` that moves an operator shows up here.
+#[test]
+fn eval_profile_matches_the_paper_query_golden() {
+    const Q1_OPS: [&str; 6] = [
+        "scan ?monument rdfs:label \"Mole Antonelliana\"@it est=1 in=1 out=1",
+        "join ?monument geo:geometry ?sourceGEO est=1 in=1 out=1",
+        "join ?resource rdf:type sioct:MicroblogPost est=1 in=1 out=4",
+        "join ?resource geo:geometry ?location est=1 in=4 out=4",
+        "filter filter(?location, ?sourceGEO) est=4 in=4 out=3",
+        "join ?resource comm:image-data ?link est=1 in=3 out=3",
+    ];
+    const SOCIAL_OPS: [&str; 3] = [
+        "join ?resource foaf:maker ?user est=1 in=3 out=3",
+        "join ?oscar foaf:name \"oscar\" est=1 in=3 out=3",
+        "join ?user foaf:knows ?oscar est=0.1 in=3 out=2",
+    ];
+    const RATED_OPS: [&str; 2] = [
+        "join ?resource rev:rating ?points est=1 in=2 out=2",
+        "sort sort(1 key) est=2 in=2 out=2",
+    ];
+    let store = paper_store();
+    for (name, query, golden) in [
+        ("Q1", Q1, Q1_OPS.to_vec()),
+        ("Q2", Q2, [&Q1_OPS[..], &SOCIAL_OPS].concat()),
+        ("Q3", Q3, [&Q1_OPS[..], &SOCIAL_OPS, &RATED_OPS].concat()),
+    ] {
+        let (_, report) = run_cold(&store, query);
+        let ops: Vec<String> = report
+            .profile
+            .operators()
+            .iter()
+            .map(|o| {
+                format!(
+                    "{} {} est={} in={} out={}",
+                    o.kind.label(),
+                    o.label,
+                    o.estimated_rows,
+                    o.input_rows,
+                    o.output_rows
+                )
+            })
+            .collect();
+        assert_eq!(ops, golden, "{name}");
+    }
 }

@@ -260,46 +260,6 @@ fn crash_recovery_preserves_every_paper_query_answer() {
     );
 }
 
-/// Parallel-evaluation tentpole, at paper scale: Q1–Q3 evaluated with
-/// a forked worker pool must return byte-identical tables to the
-/// sequential engine, in both threaded and inline-partition modes.
-#[test]
-fn parallel_evaluation_matches_sequential_on_the_paper_fixture() {
-    use lodify::sparql::{evaluate_planned, parse, EvalOptions, Plan};
-
-    let (p, _) = platform_with_fixture();
-    let user_name = oscar(&p);
-    let queries = [
-        Q1.to_string(),
-        instantiate(Q2, &user_name),
-        instantiate(Q3, &user_name),
-    ];
-    for query in &queries {
-        let sequential = p.query(query).unwrap().to_table();
-        let parsed = parse(query).unwrap();
-        for spawn_threads in [true, false] {
-            for workers in [2, 4] {
-                let options = EvalOptions {
-                    workers,
-                    parallel_threshold: 0,
-                    spawn_threads,
-                };
-                let (results, report) =
-                    evaluate_planned(p.store(), &parsed, options, &Plan::default()).unwrap();
-                assert_eq!(
-                    results.to_table(),
-                    sequential,
-                    "workers={workers} spawn={spawn_threads}"
-                );
-                assert!(
-                    report.parallel_sections > 0,
-                    "threshold 0 must engage the pool on the paper fixture"
-                );
-            }
-        }
-    }
-}
-
 /// Album-cache tentpole across the durability boundary: WAL replay
 /// flows through `Store::insert`/`Store::remove`, so a recovered
 /// store carries live mutation epochs and the revived platform's view

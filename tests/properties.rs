@@ -328,45 +328,6 @@ fn sparql_limit_caps_and_distinct_shrinks() {
     }
 }
 
-#[test]
-fn sparql_parallel_evaluation_equals_sequential_on_random_stores() {
-    // Determinism law for the fork/join evaluator: for arbitrary data
-    // and worker counts, partitioned evaluation merged in chunk order
-    // must reproduce the sequential engine's output exactly.
-    use lodify::sparql::{evaluate_planned, execute, parse, EvalOptions, Plan};
-    let mut rng = rng("sparql-parallel");
-    for case in 0..60 {
-        let n = rng.random_range(4..40usize);
-        let mut store = Store::new();
-        let g = store.default_graph();
-        for i in 0..n {
-            // Few subjects/objects so joins produce real fan-out.
-            let s = format!("http://s/{}", rng.random_range(0..8u32));
-            let o = format!("v{}", rng.random_range(0..5u32));
-            store.insert(&Triple::spo(&s, "http://p/a", Term::literal(o)), g);
-            store.insert(
-                &Triple::spo(&s, "http://p/b", Term::literal(format!("w{i}"))),
-                g,
-            );
-        }
-        let query = "SELECT ?s ?x ?y WHERE { ?s <http://p/a> ?x . ?s <http://p/b> ?y . }";
-        let sequential = execute(&store, query).unwrap().to_table();
-        let parsed = parse(query).unwrap();
-        for workers in [2, 3, 5] {
-            let options = EvalOptions {
-                workers,
-                parallel_threshold: 0,
-                spawn_threads: case % 2 == 0,
-            };
-            let parallel = evaluate_planned(&store, &parsed, options, &Plan::default())
-                .unwrap()
-                .0
-                .to_table();
-            assert_eq!(parallel, sequential, "case {case}, workers {workers}");
-        }
-    }
-}
-
 /// The object of a random-corpus pattern, kept structurally so the
 /// reference below never sees SPARQL text.
 enum RefObject {
