@@ -44,7 +44,7 @@
 //!   parse/plan/eval, feeding the `/ops` degradation verdict;
 //! * [`traffic`] — deterministic multi-tenant open-loop traffic
 //!   generation (DetRng arrivals on a virtual clock) driving the real
-//!   admission controller for E23 and the overload chaos test.
+//!   admission controller for the overload chaos test.
 
 #![warn(missing_docs)]
 

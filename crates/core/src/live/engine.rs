@@ -1253,4 +1253,57 @@ mod tests {
         assert_eq!(engine.links(id), engine.spec(id).execute(&store).unwrap());
         assert_eq!(engine.links(id).len(), 2);
     }
+
+    /// Routing, not re-evaluation: the support evaluations one delta
+    /// triggers are set by the albums it can affect, not by how many
+    /// are registered. Monuments stand 10 km apart, so an upload at the
+    /// first is out of every other album's radius.
+    #[test]
+    fn evaluations_per_delta_do_not_grow_with_registered_albums() {
+        let uploads = 10;
+        let mut evals_per_upload = Vec::new();
+        for albums in [10, 1000] {
+            let mut store = Store::new();
+            let g = store.default_graph();
+            let mut engine = StandingQueryEngine::new();
+            for i in 0..albums {
+                let monument = format!("http://dbpedia.org/resource/Monument_{i}");
+                let label = Literal::lang(format!("Monument {i}"), "it").unwrap();
+                let anchor = mole().offset_km(0.0, 10.0 * i as f64);
+                for (pred, object) in [
+                    (ns::iri::rdfs_label(), label),
+                    (ns::iri::geo_geometry(), anchor.to_literal()),
+                ] {
+                    store.insert(
+                        &Triple::spo(&monument, pred.as_str(), Term::Literal(object)),
+                        g,
+                    );
+                }
+            }
+            for i in 0..albums {
+                let spec = AlbumSpec::near_monument(&format!("Monument {i}"), "it", 1.0);
+                engine.register(&store, &spec);
+            }
+            let registered = engine.stats();
+            for n in 0..uploads {
+                let additions = picture_triples(n, 0.05, None);
+                for t in &additions {
+                    store.insert(t, g);
+                }
+                let diffs = engine.apply(&store, &additions, &[]);
+                assert_eq!(diffs.len(), 1, "only the first monument's album moves");
+            }
+            assert_eq!(engine.links(0).len(), uploads as usize);
+            assert_eq!(engine.links(0), engine.spec(0).execute(&store).unwrap());
+            let stats = engine.stats();
+            assert_eq!(stats.diffs - registered.diffs, uploads as u64);
+            evals_per_upload
+                .push((stats.resource_evals - registered.resource_evals) / uploads as u64);
+        }
+        assert!(evals_per_upload[0] >= 1, "guard: uploads are evaluated");
+        assert_eq!(
+            evals_per_upload[0], evals_per_upload[1],
+            "10 vs 1,000 registered albums"
+        );
+    }
 }

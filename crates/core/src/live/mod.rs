@@ -10,8 +10,8 @@
 //! * [`engine::StandingQueryEngine`] registers [`AlbumSpec`] queries
 //!   and turns each committed delta batch into [`engine::AlbumDiff`]s
 //!   by delta-joining against retained per-resource support counts —
-//!   O(delta) work, flat in the number of registered albums (bench
-//!   E20).
+//!   O(delta) work, flat in the number of registered albums
+//!   (`engine::tests::evaluations_per_delta_do_not_grow_with_registered_albums`).
 //! * [`push::PushHub`] ships those diffs to subscribers with
 //!   at-least-once delivery and idempotent apply — the SparqlPuSH leg
 //!   the paper's §6 leaves as future work.

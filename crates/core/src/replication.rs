@@ -1483,6 +1483,38 @@ mod tests {
         assert_eq!(repl.telemetry().counter("replication.applied"), 2);
     }
 
+    /// Hub meshes of growing size on a clean transport: shipping is
+    /// eager, so every commit leaves the mesh converged and each
+    /// emission is applied exactly once per subscribed link.
+    #[test]
+    fn clean_hub_mesh_applies_each_emission_once_per_link() {
+        let emissions = 10;
+        for n in [2, 4, 8] {
+            let mut fed = Federation::new();
+            let mut repl = Replicator::new();
+            for i in 0..n {
+                fed.add_node(&format!("node{i}.example")).unwrap();
+                repl.attach(&fed, i, Box::new(MemStorage::new())).unwrap();
+            }
+            let oscar = fed.register_user(0, "oscar", "Oscar").unwrap();
+            for i in 1..n {
+                repl.subscribe(0, i, SharePolicy::Everything).unwrap();
+            }
+            for e in 0..emissions {
+                fed.publish(&oscar, &format!("media #{e}"), 1_000 + e as i64)
+                    .unwrap();
+                repl.commit(&mut fed, &oscar, None).unwrap();
+                assert!(repl.converged(), "{n} nodes, after emission {e}");
+            }
+            assert_eq!(
+                repl.telemetry().counter("replication.applied"),
+                (emissions * (n - 1)) as u64,
+                "{n} nodes"
+            );
+            assert_eq!(repl.telemetry().counter("replication.duplicates"), 0);
+        }
+    }
+
     #[test]
     fn duplicates_and_stale_epochs_are_no_ops() {
         let (mut fed, mut repl, oscar, _, _) = two_node_mesh();

@@ -10,7 +10,7 @@
 //! a prefix (Fig. 3: "Result candidates are listed for 'Turin'"),
 //! [`SearchService::content_for_resource`] the content list behind a
 //! selected candidate (Fig. 4), and [`Debouncer`] models the 2-second
-//! AJAX debounce so the interaction itself is testable/benchable.
+//! AJAX debounce so the interaction itself is testable.
 
 use lodify_rdf::{Iri, Point, Term};
 use lodify_store::Store;

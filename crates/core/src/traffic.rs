@@ -9,7 +9,7 @@
 //! Poisson arrivals from a [`DetRng`], virtual time on a
 //! [`VirtualClock`] — and pushes it through a k-server queue model
 //! while driving a *real* [`AdmissionController`] on the same clock,
-//! so E23 and the overload chaos test measure the actual shedding
+//! so the overload chaos test measures the actual shedding
 //! implementation, not a model of it.
 //!
 //! The simulation is exact discrete-event queueing: each admitted
@@ -53,7 +53,7 @@ pub struct TrafficConfig {
 }
 
 impl TrafficConfig {
-    /// The E23 mix: expensive album solves dominating, some plain
+    /// The overload-storm mix: expensive album solves dominating, some plain
     /// pages, a trickle of operator traffic.
     pub fn standard(seed: u64, rate_per_sec: f64, duration_ms: u64) -> TrafficConfig {
         TrafficConfig {

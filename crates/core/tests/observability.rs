@@ -58,6 +58,8 @@ fn metrics_cover_every_pipeline_layer() {
         .query("SELECT ?s WHERE { ?s a sioct:MicroblogPost . } LIMIT 3")
         .unwrap();
     platform.flush_store().unwrap();
+    // The profiled evaluation fed the planner's per-predicate registry.
+    assert!(!platform.cardinality().entries().is_empty());
     let album = get(
         &platform,
         "/album?monument=Mole+Antonelliana&lang=it&radius=0.3",

@@ -31,8 +31,8 @@
 //! [`lodify_resilience::FaultPlan`]: `wal.flush` guards the
 //! WAL flush barrier and `snapshot.write` guards snapshot segment
 //! writes. Injected latency on those targets advances the plan's
-//! virtual clock, which is how the E15 benchmark measures group-commit
-//! scaling in deterministic virtual time.
+//! virtual clock, so a test can charge a per-flush cost in
+//! deterministic virtual time.
 
 use std::collections::HashMap;
 
@@ -557,7 +557,7 @@ impl DurableStore {
         self.journal.as_ref().map(Journal::stats)
     }
 
-    /// Replaces the group-commit policy (benchmarks sweep batch sizes).
+    /// Replaces the group-commit policy.
     pub fn set_group_commit(&mut self, policy: GroupCommitPolicy) {
         if let Some(journal) = self.journal.as_mut() {
             journal.wal.set_policy(policy);
@@ -1012,6 +1012,13 @@ mod tests {
             mem.list(),
             vec!["snap-0000000002".to_string(), "wal-0000000002".to_string()]
         );
+        // Compaction left nothing to replay: a crash right after it
+        // recovers from the snapshot alone.
+        mem.crash();
+        let (recovered, report) = open_mem(&mem);
+        assert_eq!(report.snapshot_triples, 30);
+        assert_eq!(report.wal_records_replayed, 0);
+        assert_eq!(recovered.store().len(), 30);
         // Tail on top of the snapshot.
         engine.insert(&label(99), g).unwrap();
         engine.flush().unwrap();

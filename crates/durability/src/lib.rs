@@ -30,8 +30,8 @@
 //!
 //! Durability barriers honor `lodify-resilience` fault plans via the
 //! [`TARGET_WAL_FLUSH`] and [`TARGET_SNAPSHOT_WRITE`] targets, so
-//! crash-recovery scenarios (and the E15 benchmark) run in scripted,
-//! deterministic virtual time.
+//! crash-recovery scenarios run in scripted, deterministic virtual
+//! time.
 //!
 //! [`Store`]: lodify_store::Store
 //! [`MemStorage`]: storage::MemStorage

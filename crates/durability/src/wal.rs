@@ -20,7 +20,7 @@ use crate::storage::Storage;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitPolicy {
     /// Flush once this many records are buffered. `1` = flush per
-    /// record (the slow, maximally-eager baseline E15 compares against).
+    /// record (the slow, maximally-eager baseline).
     pub max_batch_records: usize,
     /// Flush once the buffer reaches this many bytes, whichever comes
     /// first.
@@ -108,7 +108,7 @@ impl WalWriter {
         self.policy
     }
 
-    /// Replaces the group-commit policy (benchmarks sweep it).
+    /// Replaces the group-commit policy.
     pub fn set_policy(&mut self, policy: GroupCommitPolicy) {
         self.policy = policy;
     }

@@ -42,7 +42,8 @@ pub enum DiscardReason {
     Ambiguous,
 }
 
-/// Filter configuration (every §2.2.2 knob, for the ablation benches).
+/// Filter configuration (every §2.2.2 knob; `tests/reproduction.rs`
+/// ablates them against the paper's values).
 #[derive(Debug, Clone)]
 pub struct FilterConfig {
     /// Graph priority order; graphs not listed are discarded.

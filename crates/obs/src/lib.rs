@@ -15,8 +15,8 @@
 //! - [`access`]: per-request ids and a bounded access log.
 //!
 //! The whole surface can be switched off at runtime
-//! ([`Obs::set_enabled`]); bench E17 uses that to measure
-//! instrumentation overhead within a single binary.
+//! ([`Obs::set_enabled`]), which is how instrumentation overhead is
+//! measured within a single binary.
 
 #![warn(missing_docs)]
 

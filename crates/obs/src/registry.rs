@@ -4,8 +4,9 @@
 //! counter the breakers, retries and DLQs already write keeps its
 //! name) and adds named [`Histogram`]s beside them. Clones share the
 //! registry; a shared *enabled* flag turns the whole surface into
-//! near-free no-ops so bench E17 can measure instrumentation overhead
-//! against the exact same binary.
+//! near-free no-ops, so instrumentation overhead can be measured
+//! against the exact same binary (the ledger's
+//! `loadgen.trace_overhead_ratio`).
 //!
 //! The registry also carries the [`Clock`](crate::clock::Clock) the
 //! rest of the system should time against: call sites that used to

@@ -8,8 +8,9 @@
 //!
 //! * **Full hit** — the cached entry was built from the *identical*
 //!   query text: both the parsed [`Query`] and the [`Plan`] are
-//!   returned, skipping parse *and* plan (the ≥5× fast path E23
-//!   measures).
+//!   returned, skipping parse *and* plan (the ledger's
+//!   `sparql.cache.lookup_us` against `sparql.parse_us` +
+//!   `sparql.plan_us`).
 //! * **Plan hit** — same fingerprint, different literal values (e.g.
 //!   the same album query for a different date window). The plan is
 //!   reused — run keys are constant-insensitive, exactly like the
