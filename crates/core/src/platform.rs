@@ -19,7 +19,7 @@ use lodify_rdf::{ns, Iri, Point, Term, Triple};
 use lodify_relational::workload::{generate, PictureTruth, WorkloadConfig};
 use lodify_relational::{coppermine as cpg, Database, SqlValue};
 use lodify_resilience::FaultPlan;
-use lodify_store::{GraphId, SnapshotSource, Store, StoreSnapshot};
+use lodify_store::{GraphId, Store, StoreSnapshot};
 use lodify_tripletags::context_tags::tags_for;
 use lodify_tripletags::{Tag, TagIndex, TripleTag};
 
@@ -823,7 +823,7 @@ impl Platform {
     /// workers and any long-running reader should use instead of
     /// borrowing [`Platform::store`] across slow calls.
     pub fn store_snapshot(&self) -> StoreSnapshot {
-        self.store.pin()
+        self.store.store().snapshot()
     }
 
     /// Durability counters, when the store is journal-backed
@@ -1030,7 +1030,7 @@ impl Platform {
         }
         let elapsed_us = metrics.now_micros().saturating_sub(started);
         metrics.observe_with_exemplar("sparql.query", elapsed_us, trace_id);
-        if self.obs.is_enabled() && elapsed_us >= self.obs.slow_queries().threshold_us() {
+        if elapsed_us >= self.obs.slow_queries().threshold_us() {
             self.obs.slow_queries().record_annotated(
                 &fingerprint,
                 sparql,
@@ -1277,14 +1277,6 @@ impl Platform {
         }
         metrics.set_gauge("store.epoch", self.store.store().epoch());
         metrics.set_gauge("store.shards", self.store.store().shard_count() as u64);
-    }
-}
-
-impl SnapshotSource for Platform {
-    /// The platform is a [`SnapshotSource`]: readers that should not
-    /// borrow the platform across slow calls pin a version instead.
-    fn pin(&self) -> StoreSnapshot {
-        self.store_snapshot()
     }
 }
 

@@ -269,13 +269,10 @@ impl Journal {
         name: &str,
         f: impl FnOnce(&mut Self) -> Result<T, E>,
     ) -> Result<T, E> {
-        let timed = match &self.observability {
-            Some(metrics) if metrics.is_enabled() => {
-                let started = metrics.now_micros();
-                Some((metrics.clone(), started))
-            }
-            _ => None,
-        };
+        let timed = self
+            .observability
+            .as_ref()
+            .map(|metrics| (metrics.clone(), metrics.now_micros()));
         let out = f(self);
         if let Some((metrics, started)) = timed {
             if out.is_ok() {
@@ -452,15 +449,6 @@ impl DurableStore {
         &self.store
     }
 
-    /// Pins the current store state as an immutable
-    /// [`lodify_store::StoreSnapshot`] — the engine's side of the
-    /// [`lodify_store::SnapshotSource`] seam. Because WAL recovery
-    /// rebuilds the store by replaying inserts/removes, a recovered
-    /// engine pins snapshots with fully repopulated shards and epochs.
-    pub fn pin(&self) -> lodify_store::StoreSnapshot {
-        self.store.snapshot()
-    }
-
     /// Consumes the wrapper, returning the in-memory store.
     pub fn into_store(self) -> Store {
         self.store
@@ -615,12 +603,6 @@ impl DurableStore {
         if let Some(journal) = self.journal.as_mut() {
             journal.fault_plan = None;
         }
-    }
-}
-
-impl lodify_store::SnapshotSource for DurableStore {
-    fn pin(&self) -> lodify_store::StoreSnapshot {
-        DurableStore::pin(self)
     }
 }
 

@@ -24,9 +24,8 @@
 //!   compaction into generation files, and [`DurableStore::open`] /
 //!   [`DurableStore::open_or_adopt`] recovery that rebuilds the store
 //!   (triple indexes, fulltext, geo, stats) to exactly the last
-//!   acknowledged state;
-//! * [`shared`] — a thread-safe handle whose writers share group-commit
-//!   barriers.
+//!   acknowledged state. The engine is owned by its single writer;
+//!   readers pin `engine.store().snapshot()`.
 //!
 //! Durability barriers honor `lodify-resilience` fault plans via the
 //! [`TARGET_WAL_FLUSH`] and [`TARGET_SNAPSHOT_WRITE`] targets, so
@@ -42,7 +41,6 @@
 pub mod codec;
 pub mod engine;
 pub mod error;
-pub mod shared;
 pub mod snapshot;
 pub mod storage;
 pub mod wal;
@@ -53,7 +51,6 @@ pub use engine::{
     TARGET_WAL_FLUSH,
 };
 pub use error::DurabilityError;
-pub use shared::SharedDurableStore;
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotImage};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use wal::{scan_log, GroupCommitPolicy, TailReport, WalWriter};

@@ -182,16 +182,16 @@ impl Annotator {
         self.broker.set_cache(cache);
     }
 
-    /// Times `f` into the named histogram when observability is on.
+    /// Times `f` into the named histogram when a registry is attached.
     fn timed<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
         match &self.observability {
-            Some(metrics) if metrics.is_enabled() => {
+            Some(metrics) => {
                 let started = metrics.now_micros();
                 let out = f();
                 metrics.observe(name, metrics.now_micros().saturating_sub(started));
                 out
             }
-            _ => f(),
+            None => f(),
         }
     }
 

@@ -199,9 +199,7 @@ impl SemanticBroker {
     /// attached (the cache keeps its own exact counters regardless).
     fn count_cache(&self, name: &str) {
         if let Some(metrics) = &self.observability {
-            if metrics.is_enabled() {
-                metrics.incr(name);
-            }
+            metrics.incr(name);
         }
     }
 
@@ -214,10 +212,10 @@ impl SemanticBroker {
         unavailable: &mut Vec<&'static str>,
         op: impl FnMut() -> Result<Vec<Candidate>, ResolverError>,
     ) -> Vec<Candidate> {
-        let timed = match &self.observability {
-            Some(metrics) if metrics.is_enabled() => Some((metrics, metrics.now_micros())),
-            _ => None,
-        };
+        let timed = self
+            .observability
+            .as_ref()
+            .map(|metrics| (metrics, metrics.now_micros()));
         let hits = self.call_guarded(idx, failures, unavailable, op);
         if let Some((metrics, started)) = timed {
             metrics.observe(

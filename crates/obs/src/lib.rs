@@ -14,9 +14,8 @@
 //!   fingerprints;
 //! - [`access`]: per-request ids and a bounded access log.
 //!
-//! The whole surface can be switched off at runtime
-//! ([`Obs::set_enabled`]), which is how instrumentation overhead is
-//! measured within a single binary.
+//! Recording is always on: there is no runtime switch, so every build
+//! runs the instrumented path.
 
 #![warn(missing_docs)]
 
@@ -106,9 +105,7 @@ impl Obs {
     /// registry, so series already written by breakers and retries
     /// show up in the same exposition.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Obs {
-        let enabled = self.metrics.is_enabled();
         let metrics = Metrics::with_telemetry_and_clock(telemetry, self.clock.clone());
-        metrics.set_enabled(enabled);
         self.tracer = self.tracer.with_metrics(metrics.clone());
         self.metrics = metrics;
         self
@@ -157,18 +154,6 @@ impl Obs {
         &self.access_log
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.metrics.is_enabled()
-    }
-
-    /// Turns metric and span recording on or off across the bundle
-    /// (shared by all clones).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.metrics.set_enabled(enabled);
-        self.tracer.set_enabled(enabled);
-    }
-
     /// Renders the registry in Prometheus text format under the
     /// standard `lodify` prefix.
     pub fn render_prometheus(&self) -> String {
@@ -190,20 +175,6 @@ mod tests {
         span.finish();
         assert_eq!(obs.metrics().histogram("stage").unwrap().sum(), 4_000);
         assert!(obs.render_prometheus().contains("lodify_stage_seconds_sum"));
-    }
-
-    #[test]
-    fn set_enabled_silences_the_whole_bundle() {
-        let obs = Obs::new();
-        obs.set_enabled(false);
-        assert!(!obs.is_enabled());
-        obs.tracer().start("s").finish();
-        obs.metrics().incr("c");
-        assert!(obs.tracer().recent_spans(8).is_empty());
-        assert_eq!(obs.metrics().counter("c"), 0);
-        obs.set_enabled(true);
-        obs.metrics().incr("c");
-        assert_eq!(obs.metrics().counter("c"), 1);
     }
 
     #[test]

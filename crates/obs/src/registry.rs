@@ -3,10 +3,7 @@
 //! [`Metrics`] wraps the resilience [`Telemetry`] registry (so every
 //! counter the breakers, retries and DLQs already write keeps its
 //! name) and adds named [`Histogram`]s beside them. Clones share the
-//! registry; a shared *enabled* flag turns the whole surface into
-//! near-free no-ops, so instrumentation overhead can be measured
-//! against the exact same binary (the ledger's
-//! `loadgen.trace_overhead_ratio`).
+//! registry, and every clone always records.
 //!
 //! The registry also carries the [`Clock`](crate::clock::Clock) the
 //! rest of the system should time against: call sites that used to
@@ -15,7 +12,6 @@
 //! makes *all* latency series deterministic, not just span timings.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -29,7 +25,6 @@ use crate::histogram::Histogram;
 pub struct Metrics {
     telemetry: Telemetry,
     histograms: Arc<Mutex<BTreeMap<String, Histogram>>>,
-    enabled: Arc<AtomicBool>,
     clock: SharedClock,
 }
 
@@ -37,7 +32,6 @@ impl std::fmt::Debug for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Metrics")
             .field("telemetry", &self.telemetry)
-            .field("enabled", &self.is_enabled())
             .finish_non_exhaustive()
     }
 }
@@ -47,21 +41,18 @@ impl Default for Metrics {
         Metrics {
             telemetry: Telemetry::default(),
             histograms: Arc::new(Mutex::new(BTreeMap::new())),
-            enabled: Arc::new(AtomicBool::new(false)),
             clock: Arc::new(WallClock::new()),
         }
     }
 }
 
 impl Metrics {
-    /// An empty, enabled registry on wall time.
+    /// An empty registry on wall time.
     pub fn new() -> Metrics {
-        let metrics = Metrics::default();
-        metrics.enabled.store(true, Ordering::Relaxed);
-        metrics
+        Metrics::default()
     }
 
-    /// An empty, enabled registry timing against an explicit clock.
+    /// An empty registry timing against an explicit clock.
     pub fn with_clock(clock: SharedClock) -> Metrics {
         Metrics {
             clock,
@@ -101,16 +92,6 @@ impl Metrics {
         self.clock.now_micros()
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns all recording on or off (shared across clones).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
     /// The underlying counter/gauge registry.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
@@ -118,23 +99,17 @@ impl Metrics {
 
     /// Adds 1 to a counter.
     pub fn incr(&self, name: &str) {
-        if self.is_enabled() {
-            self.telemetry.incr(name);
-        }
+        self.telemetry.incr(name);
     }
 
     /// Adds `delta` to a counter.
     pub fn add(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.telemetry.add(name, delta);
-        }
+        self.telemetry.add(name, delta);
     }
 
     /// Sets a gauge to an absolute value.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.telemetry.set_gauge(name, value);
-        }
+        self.telemetry.set_gauge(name, value);
     }
 
     /// Records a microsecond observation into a named histogram.
@@ -146,9 +121,6 @@ impl Metrics {
     /// non-zero, retains it as the landing bucket's exemplar — the
     /// link `/metrics` tail buckets expose back to `/trace/<id>`.
     pub fn observe_with_exemplar(&self, name: &str, micros: u64, trace_id: u64) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut histograms = lock(&self.histograms);
         match histograms.get_mut(name) {
             Some(histogram) => histogram.observe_with_exemplar(micros, trace_id),
@@ -218,24 +190,6 @@ mod tests {
         assert_eq!(histogram.count(), 2);
         assert_eq!(histogram.sum(), 600);
         assert_eq!(metrics.histograms().len(), 1);
-    }
-
-    #[test]
-    fn disabling_stops_all_recording() {
-        let metrics = Metrics::new();
-        metrics.set_enabled(false);
-        metrics.incr("a");
-        metrics.set_gauge("g", 1);
-        metrics.observe("lat", 5);
-        assert_eq!(metrics.counter("a"), 0);
-        assert_eq!(metrics.gauge("g"), None);
-        assert!(metrics.histogram("lat").is_none());
-        // The flag is shared by clones and reversible.
-        let other = metrics.clone();
-        assert!(!other.is_enabled());
-        other.set_enabled(true);
-        metrics.incr("a");
-        assert_eq!(metrics.counter("a"), 1);
     }
 
     #[test]

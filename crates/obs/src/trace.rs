@@ -38,7 +38,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::clock::{SharedClock, WallClock};
@@ -124,7 +124,6 @@ pub struct Tracer {
     sink: Arc<Mutex<Option<TraceStore>>>,
     brand: Arc<Mutex<NodeBrand>>,
     next_id: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
     capacity: usize,
 }
 
@@ -132,7 +131,6 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("capacity", &self.capacity)
-            .field("enabled", &self.is_enabled())
             .finish_non_exhaustive()
     }
 }
@@ -153,7 +151,6 @@ impl Tracer {
             sink: Arc::new(Mutex::new(None)),
             brand: Arc::new(Mutex::new(NodeBrand::default())),
             next_id: Arc::new(AtomicU64::new(1)),
-            enabled: Arc::new(AtomicBool::new(true)),
             capacity: capacity.max(1),
         }
     }
@@ -183,16 +180,6 @@ impl Tracer {
         brand.label = label.to_string();
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns span recording on or off (shared across clones).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
     fn mint_id(&self) -> u64 {
         let seq = self.next_id.fetch_add(1, Ordering::Relaxed);
         lock(&self.brand).salt | seq
@@ -202,9 +189,6 @@ impl Tracer {
     /// while a span is [entered](Span::enter) on this thread, a child
     /// of that span.
     pub fn start(&self, name: &str) -> Span {
-        if !self.is_enabled() {
-            return Span::inert(self.clone());
-        }
         if let Some(ctx) = AMBIENT.get() {
             return self.span_with(ctx.trace_id, Some(ctx.parent_span_id), name);
         }
@@ -217,9 +201,6 @@ impl Tracer {
     /// [`Tracer::start`], so call sites need no branching when an
     /// operation may or may not have a causal origin.
     pub fn start_with_context(&self, name: &str, context: Option<TraceContext>) -> Span {
-        if !self.is_enabled() {
-            return Span::inert(self.clone());
-        }
         match context {
             Some(ctx) => self.span_with(ctx.trace_id, Some(ctx.parent_span_id), name),
             None => self.start(name),
@@ -297,19 +278,7 @@ pub struct Span {
 }
 
 impl Span {
-    fn inert(tracer: Tracer) -> Span {
-        Span {
-            tracer,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: None,
-            name: String::new(),
-            start_us: 0,
-            live: false,
-        }
-    }
-
-    /// The trace id (0 for an inert span from a disabled tracer).
+    /// The trace id.
     pub fn trace_id(&self) -> u64 {
         self.trace_id
     }
@@ -320,10 +289,9 @@ impl Span {
     }
 
     /// The portable causal reference for work spawned under this span
-    /// (on any node). `None` for inert spans, so disabled tracing
-    /// propagates nothing.
+    /// (on any node).
     pub fn context(&self) -> Option<TraceContext> {
-        self.live.then_some(TraceContext {
+        Some(TraceContext {
             trace_id: self.trace_id,
             parent_span_id: self.span_id,
         })
@@ -331,9 +299,6 @@ impl Span {
 
     /// Starts a child span within the same trace.
     pub fn child(&self, name: &str) -> Span {
-        if !self.live {
-            return Span::inert(self.tracer.clone());
-        }
         self.tracer
             .span_with(self.trace_id, Some(self.span_id), name)
     }
@@ -341,8 +306,7 @@ impl Span {
     /// Makes this span the ambient parent on the current thread until
     /// the guard drops (the previous ambient parent, if any, comes
     /// back then): [`Tracer::start`] calls made meanwhile on this
-    /// thread join this span's trace as its children. An inert span
-    /// clears the ambient parent for the guard's lifetime.
+    /// thread join this span's trace as its children.
     pub fn enter(&self) -> Entered {
         Entered {
             previous: AMBIENT.replace(self.context()),
@@ -756,17 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = Tracer::new(8);
-        tracer.set_enabled(false);
-        let root = tracer.start("op");
-        let child = root.child("op.step");
-        child.finish();
-        root.finish();
-        assert!(tracer.recent_spans(8).is_empty());
-    }
-
-    #[test]
     fn traces_group_by_trace_id() {
         let tracer = Tracer::new(16);
         for i in 0..3 {
@@ -840,16 +793,6 @@ mod tests {
         let span = tracer.start_with_context("op", None);
         assert!(span.context().is_some());
         assert_ne!(span.trace_id(), 0);
-    }
-
-    #[test]
-    fn disabled_tracer_propagates_no_context() {
-        let tracer = Tracer::new(8);
-        tracer.set_enabled(false);
-        let span = tracer.start("op");
-        assert_eq!(span.context(), None);
-        let remote = tracer.start_with_context("op2", None);
-        assert_eq!(remote.context(), None);
     }
 
     #[test]

@@ -100,15 +100,13 @@ pub fn execute(store: &Store, query: &str) -> Result<QueryResults, SparqlError> 
 ///
 /// ```
 /// use lodify_rdf::{Term, Triple};
-/// use lodify_store::{SharedStore, SnapshotSource, Store};
+/// use lodify_store::Store;
 ///
-/// let shared = SharedStore::new(Store::new());
-/// shared.with_write(|store| {
-///     let g = store.default_graph();
-///     store.insert(&Triple::spo("http://s", "http://p", Term::literal("v")), g);
-/// });
+/// let mut store = Store::new();
+/// let g = store.default_graph();
+/// store.insert(&Triple::spo("http://s", "http://p", Term::literal("v")), g);
 ///
-/// let snap = shared.pin();
+/// let snap = store.snapshot();
 /// let (rows, epoch) = lodify_sparql::execute_snapshot(
 ///     &snap,
 ///     "SELECT ?s WHERE { ?s <http://p> ?o . }",
@@ -117,10 +115,7 @@ pub fn execute(store: &Store, query: &str) -> Result<QueryResults, SparqlError> 
 /// assert_eq!(epoch, snap.epoch());
 ///
 /// // A commit after the pin does not disturb the pinned answer.
-/// shared.with_write(|store| {
-///     let g = store.default_graph();
-///     store.insert(&Triple::spo("http://s2", "http://p", Term::literal("w")), g);
-/// });
+/// store.insert(&Triple::spo("http://s2", "http://p", Term::literal("w")), g);
 /// let (again, epoch_again) = lodify_sparql::execute_snapshot(
 ///     &snap,
 ///     "SELECT ?s WHERE { ?s <http://p> ?o . }",

@@ -19,18 +19,15 @@
 //! it, and the semantic filter uses subject-level provenance to rank
 //! candidate resources by source graph (§2.2.2).
 //!
-//! # Concurrency: MVCC epoch snapshots over a sharded store
+//! # Concurrency: one writer, epoch snapshots over a sharded store
 //!
-//! Since the MVCC refactor all of the above is **subject-sharded**
-//! ([`shard`]): every subject-keyed structure lives in one of N
+//! All of the above is **subject-sharded** ([`shard`]): every
+//! subject-keyed structure lives in one of N
 //! [`Arc`](std::sync::Arc)-wrapped shards, so cloning a [`Store`] costs
 //! O(shards) and a writer copy-on-writes only the shards it touches.
-//! [`snapshot::StoreSnapshot`] packages such a clone as an immutable
-//! pinned version; [`SharedStore`] serializes writers and atomically
-//! publishes versions to lock-free readers. The
-//! [`snapshot::SnapshotSource`] trait is the seam every read-side
-//! consumer (SPARQL, albums, live queries, replication, web) depends
-//! on.
+//! The owner of the `Store` is its single writer; [`Store::snapshot`]
+//! pins an immutable [`StoreSnapshot`] that other threads read while
+//! the owner keeps committing.
 
 #![warn(missing_docs)]
 
@@ -39,7 +36,6 @@ pub mod error;
 pub mod fulltext;
 pub mod geo;
 pub mod shard;
-pub mod shared;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -47,6 +43,5 @@ pub mod store;
 pub use dict::{Dict, TermId};
 pub use error::StoreError;
 pub use shard::{shard_of, FullTextView, GeoView, DEFAULT_SHARDS};
-pub use shared::{SharedStore, StoreWriteGuard};
-pub use snapshot::{SnapshotSource, StoreSnapshot};
+pub use snapshot::StoreSnapshot;
 pub use store::{GraphId, Store, DEFAULT_GRAPH};

@@ -6,11 +6,10 @@
 //! a stable mix of the subject's [`TermId`]. Two properties fall out:
 //!
 //! * **Tenant isolation.** A commit touches only the shards its
-//!   subjects route to. Under snapshot publishing
-//!   ([`crate::shared::SharedStore`]) the copy-on-write clone pays for
-//!   touched shards only, so independent tenants — whose content
-//!   subjects are distinct IRIs — commit without ever rewriting each
-//!   other's shards.
+//!   subjects route to. While a [`StoreSnapshot`] is pinned, the
+//!   copy-on-write clone pays for touched shards only, so independent
+//!   tenants — whose content subjects are distinct IRIs — commit
+//!   without ever rewriting each other's shards.
 //! * **Cheap snapshots.** Each shard lives behind an [`Arc`]; cloning
 //!   the whole store (what [`Store::snapshot`] does) is O(shards)
 //!   reference-count bumps. Writers mutate via [`Arc::make_mut`]: the
@@ -25,6 +24,7 @@
 //! shard-count invariance tests).
 //!
 //! [`Store::snapshot`]: crate::store::Store::snapshot
+//! [`StoreSnapshot`]: crate::snapshot::StoreSnapshot
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;

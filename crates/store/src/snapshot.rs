@@ -1,49 +1,39 @@
 //! MVCC epoch snapshots: immutable, cheaply-pinned store versions.
 //!
 //! A [`StoreSnapshot`] is the read side of the store's multi-version
-//! concurrency control. Pinning one costs O(shards) reference-count
-//! bumps (see [`crate::shard`]); once pinned it is **physically
-//! immutable** — the single writer copy-on-writes any shard a live
-//! snapshot still shares before mutating it — and it never observes a
-//! half-commit, because [`crate::shared::SharedStore`] publishes a new
-//! version only when a write guard completes.
+//! concurrency control. The store has one writer — whoever owns the
+//! [`Store`] — and [`Store::snapshot`] is the only way to pin a
+//! version. Pinning costs O(shards) reference-count bumps (see
+//! [`crate::shard`]); once pinned the snapshot is **physically
+//! immutable** — the writer copy-on-writes any shard a live snapshot
+//! still shares before mutating it — and, because the writer pins
+//! between commits, it never observes a half-commit.
 //!
-//! Everything that reads a [`Store`] reads a snapshot the same way:
-//! the snapshot [derefs](std::ops::Deref) to [`Store`], so SPARQL
-//! evaluation, album materialization, the live standing-query engine,
-//! replication and the web layer all take `&Store` and work unchanged
-//! whether handed the writer's store (single-threaded paths) or a
-//! pinned version (concurrent paths). The [`SnapshotSource`] trait is
-//! the seam: every handle that can produce a consistent version —
-//! `SharedStore`, `SharedDurableStore`, the platform — implements it.
+//! The snapshot [derefs](std::ops::Deref) to [`Store`], so SPARQL
+//! evaluation, album materialization and every other reader take
+//! `&Store` and work unchanged whether handed the writer's store or a
+//! pinned version carried to another thread.
 //!
 //! # Example
 //!
 //! ```
-//! use lodify_store::snapshot::SnapshotSource;
-//! use lodify_store::{SharedStore, Store};
+//! use lodify_store::Store;
 //! use lodify_rdf::{Term, Triple};
 //!
-//! let shared = SharedStore::new(Store::new());
-//! shared.with_write(|store| {
-//!     let g = store.default_graph();
-//!     store.insert(&Triple::spo("http://s", "http://p", Term::literal("v")), g);
-//! });
+//! let mut store = Store::new();
+//! let g = store.default_graph();
+//! store.insert(&Triple::spo("http://s", "http://p", Term::literal("v")), g);
 //!
-//! // Pin a version: reads are lock-free from here on.
-//! let snap = shared.pin();
-//! assert_eq!(snap.len(), 1);
+//! // Pin a version and hand it to a reader thread.
+//! let snap = store.snapshot();
 //! let at_pin = snap.epoch();
+//! let reader = std::thread::spawn(move || (snap.len(), snap.epoch()));
 //!
-//! // A later commit is invisible to the pinned snapshot…
-//! shared.with_write(|store| {
-//!     let g = store.default_graph();
-//!     store.insert(&Triple::spo("http://s2", "http://p", Term::literal("w")), g);
-//! });
-//! assert_eq!(snap.len(), 1);
-//! assert_eq!(snap.epoch(), at_pin);
-//! // …and visible to the next pin.
-//! assert_eq!(shared.pin().len(), 2);
+//! // The writer keeps committing; the pinned snapshot never sees it…
+//! store.insert(&Triple::spo("http://s2", "http://p", Term::literal("w")), g);
+//! assert_eq!(reader.join().unwrap(), (1, at_pin));
+//! // …and the next pin does.
+//! assert_eq!(store.snapshot().len(), 2);
 //! ```
 
 use std::ops::Deref;
@@ -93,25 +83,6 @@ impl Deref for StoreSnapshot {
     }
 }
 
-/// The storage seam: anything that can pin a consistent store version.
-///
-/// Consumers that only *read* should depend on this trait instead of a
-/// concrete handle; it is implemented by
-/// [`SharedStore`](crate::shared::SharedStore), by the durability
-/// crate's `SharedDurableStore`/`DurableStore`, and by the core
-/// platform.
-pub trait SnapshotSource {
-    /// Pins the latest published version.
-    fn pin(&self) -> StoreSnapshot;
-}
-
-impl SnapshotSource for Store {
-    /// A plain owned store is its own (trivially consistent) source.
-    fn pin(&self) -> StoreSnapshot {
-        self.snapshot()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,15 +127,5 @@ mod tests {
         assert_eq!(snap.fulltext().search_word("mole").len(), 1);
         assert_eq!(snap.stats().total(), 1);
         assert_eq!(store.stats().total(), 0);
-    }
-
-    #[test]
-    fn pin_via_trait_matches_snapshot() {
-        let mut store = Store::new();
-        let g = store.default_graph();
-        store.insert(&Triple::spo("http://a", "http://p", Term::literal("1")), g);
-        let via_trait = SnapshotSource::pin(&store);
-        assert_eq!(via_trait.epoch(), store.snapshot().epoch());
-        assert_eq!(via_trait.export_ntriples(None), store.export_ntriples(None));
     }
 }

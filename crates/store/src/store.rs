@@ -57,9 +57,8 @@ struct GraphTable {
 /// A `Store` value is the *writer's* working version. `Clone` is cheap
 /// (O(shards), shares all index payloads) and produces a physically
 /// immutable view as of that instant — [`Store::snapshot`] packages
-/// exactly that as a [`StoreSnapshot`]. Concurrent access goes through
-/// [`crate::shared::SharedStore`], which serializes writers and
-/// atomically publishes snapshots to readers.
+/// exactly that as a [`StoreSnapshot`], which the single writer hands
+/// to reader threads while it keeps committing.
 #[derive(Debug, Clone)]
 pub struct Store {
     dict: Dict,

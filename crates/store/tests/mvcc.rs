@@ -1,11 +1,14 @@
 //! MVCC stress tests: sustained writes with concurrent snapshot
 //! readers, torn-commit detection, and shard-count invariance.
 //!
-//! The contract under test (see `crates/store/src/shared.rs`):
+//! The contract under test (see `crates/store/src/snapshot.rs`): one
+//! thread owns the [`Store`] and commits; it pins
+//! [`Store::snapshot`] between commits and hands the pins to reader
+//! threads over a channel, the way the ingest pool's annotation stage
+//! reads an older version while the platform commits.
 //!
-//! * readers pin published versions and never block on the writer;
-//! * a published epoch only ever moves forward, and always lands on a
-//!   commit boundary — a reader can never observe half of a batch;
+//! * a pin only ever moves forward, and always lands on a commit
+//!   boundary — a reader can never observe half of a batch;
 //! * one pinned snapshot answers identically no matter how much the
 //!   writer churns after the pin;
 //! * the shard count is a physical layout knob with zero observable
@@ -13,10 +16,9 @@
 
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 use lodify_rdf::{Term, Triple};
-use lodify_store::{SharedStore, SnapshotSource, Store};
+use lodify_store::{Store, StoreSnapshot};
 
 fn t(i: u64) -> Triple {
     Triple::spo(
@@ -26,40 +28,43 @@ fn t(i: u64) -> Triple {
     )
 }
 
-/// A writer commits fixed-size batches while readers continuously pin
-/// snapshots. Every observation must sit on a commit boundary (epoch a
-/// multiple of the batch size, len == epoch for an insert-only
-/// workload) and epochs must be monotone per reader — the classic
-/// torn-commit / time-travel detector.
+/// A writer commits fixed-size batches and hands a pin to every reader
+/// after each commit; the readers inspect those pins while the writer
+/// goes on committing. Every observation must sit on a commit boundary
+/// (epoch a multiple of the batch size, len == epoch for an
+/// insert-only workload) and epochs must be monotone per reader — the
+/// classic torn-commit / time-travel detector.
 #[test]
 fn sustained_writes_never_expose_torn_commits() {
     const BATCH: u64 = 20;
     const COMMITS: u64 = 100;
 
-    let shared = SharedStore::new(Store::new());
-    let writer = shared.clone();
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..4).map(|_| mpsc::channel::<StoreSnapshot>()).unzip();
     let write_thread = std::thread::spawn(move || {
+        let mut store = Store::new();
+        let g = store.default_graph();
         for c in 0..COMMITS {
-            writer.with_write(|store| {
-                let g = store.default_graph();
-                for k in 0..BATCH {
-                    assert!(
-                        store.insert(&t(c * BATCH + k), g),
-                        "workload is insert-only"
-                    );
-                }
-            });
+            for k in 0..BATCH {
+                assert!(
+                    store.insert(&t(c * BATCH + k), g),
+                    "workload is insert-only"
+                );
+            }
+            for tx in &senders {
+                tx.send(store.snapshot()).expect("reader alive");
+            }
         }
+        store
     });
 
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let shared = shared.clone();
+    let readers: Vec<_> = receivers
+        .into_iter()
+        .map(|rx| {
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut observations = 0u64;
-                while last_epoch < COMMITS * BATCH {
-                    let snap = shared.pin();
+                for snap in rx {
                     let epoch = snap.epoch();
                     assert!(
                         epoch >= last_epoch,
@@ -75,117 +80,98 @@ fn sustained_writes_never_expose_torn_commits() {
                         epoch,
                         "snapshot len must match its epoch (insert-only workload)"
                     );
+                    assert_eq!(snap.count_pattern(None, None, None), snap.len());
                     last_epoch = epoch;
                     observations += 1;
                 }
-                observations
+                (observations, last_epoch)
             })
         })
         .collect();
 
-    write_thread.join().expect("writer finished");
+    let store = write_thread.join().expect("writer finished");
     for r in readers {
-        let observations = r.join().expect("reader finished");
-        assert!(observations > 0);
+        let (observations, last_epoch) = r.join().expect("reader finished");
+        assert_eq!(observations, COMMITS);
+        assert_eq!(last_epoch, COMMITS * BATCH);
     }
-    assert_eq!(shared.pin().len() as u64, COMMITS * BATCH);
-    assert_eq!(shared.pin().epoch(), COMMITS * BATCH);
+    assert_eq!(store.snapshot().len() as u64, COMMITS * BATCH);
+    assert_eq!(store.snapshot().epoch(), COMMITS * BATCH);
 }
 
 /// A pinned snapshot is a repeatable read: byte-identical exports and
-/// stable query answers no matter how much the writer commits (and
-/// removes) after the pin.
+/// stable query answers on a reader thread no matter how much the
+/// writer commits (and removes) after the pin.
 #[test]
 fn pinned_snapshots_are_repeatable_reads() {
-    let shared = SharedStore::new(Store::new());
-    shared.with_write(|store| {
-        let g = store.default_graph();
-        for i in 0..200 {
-            store.insert(&t(i), g);
-        }
-    });
-
-    let snap = shared.pin();
-    let export = snap.export_ntriples(None);
-    let count = snap.count_pattern(None, None, None);
-
-    // Churn: remove half, add new, across many commits.
-    for i in 0..100 {
-        shared.with_write(|store| {
-            store.remove(&t(i));
-            let g = store.default_graph();
-            store.insert(&t(10_000 + i), g);
-        });
+    let mut store = Store::new();
+    let g = store.default_graph();
+    for i in 0..200 {
+        store.insert(&t(i), g);
     }
 
-    assert_eq!(snap.export_ntriples(None), export, "export must not move");
-    assert_eq!(snap.count_pattern(None, None, None), count);
-    assert_eq!(snap.len(), 200);
-    // The live handle did move.
-    assert_eq!(shared.pin().len(), 200);
-    assert_ne!(shared.pin().export_ntriples(None), export);
-}
-
-/// Readers proceed while a writer holds the (uncommitted) write guard
-/// — the regression the MVCC refactor exists to prevent. The reader
-/// must answer within the timeout even though the guard stays open.
-#[test]
-fn readers_proceed_while_write_guard_is_held() {
-    let shared = SharedStore::new(Store::new());
-    shared.with_write(|store| {
-        let g = store.default_graph();
-        for i in 0..50 {
-            store.insert(&t(i), g);
+    let (tx, rx) = mpsc::channel::<StoreSnapshot>();
+    let reader = std::thread::spawn(move || {
+        let snap = rx.recv().expect("the pin arrives first");
+        let export = snap.export_ntriples(None);
+        let count = snap.count_pattern(None, None, None);
+        let mut latest = snap.clone();
+        // Later pins arrive while the writer churns; the first one
+        // must not move under any of them.
+        for later in rx {
+            assert_eq!(snap.export_ntriples(None), export, "export must not move");
+            assert_eq!(snap.count_pattern(None, None, None), count);
+            latest = later;
         }
+        assert_eq!(snap.len(), 200);
+        // The writer's store did move.
+        assert_eq!(latest.len(), 200);
+        assert_ne!(latest.export_ntriples(None), export);
+        latest.epoch()
     });
 
-    let mut guard = shared.write();
-    let g = guard.default_graph();
-    guard.insert(&t(999), g);
-
-    let (tx, rx) = mpsc::channel();
-    let reader = shared.clone();
-    std::thread::spawn(move || {
-        let snap = reader.pin();
-        tx.send((snap.len(), snap.epoch())).ok();
-    });
-    let (len, epoch) = rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("reader must not block on the open write guard");
-    assert_eq!(len, 50, "uncommitted write is invisible");
-    assert_eq!(epoch, 50);
-    drop(guard);
-    assert_eq!(shared.pin().len(), 51);
+    tx.send(store.snapshot()).unwrap();
+    // Churn: remove half, add new, across many commits.
+    for i in 0..100 {
+        store.remove(&t(i));
+        store.insert(&t(10_000 + i), g);
+        tx.send(store.snapshot()).unwrap();
+    }
+    drop(tx);
+    assert_eq!(reader.join().expect("reader finished"), store.epoch());
 }
 
-/// The same concurrent workload, committed against stores with 1, 4
-/// and 16 shards, must leave byte-identical state on every read path.
+/// The same workload, committed against stores with 1, 4 and 16
+/// shards while reader threads scan the pins, must leave
+/// byte-identical state on every read path.
 #[test]
 fn shard_count_invariance_under_concurrent_readers() {
     let run = |shards: usize| -> (String, u64, usize) {
-        let shared = SharedStore::new(Store::with_shards(shards));
-        let writer = shared.clone();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| mpsc::channel::<StoreSnapshot>()).unzip();
         let write_thread = std::thread::spawn(move || {
+            let mut store = Store::with_shards(shards);
+            let g = store.default_graph();
             for c in 0..40u64 {
-                writer.with_write(|store| {
-                    let g = store.default_graph();
-                    for k in 0..10 {
-                        store.insert(&t(c * 10 + k), g);
-                    }
-                    if c % 4 == 0 {
-                        store.remove(&t(c * 10));
-                    }
-                });
+                for k in 0..10 {
+                    store.insert(&t(c * 10 + k), g);
+                }
+                if c % 4 == 0 {
+                    store.remove(&t(c * 10));
+                }
+                for tx in &senders {
+                    tx.send(store.snapshot()).expect("reader alive");
+                }
             }
+            store
         });
         // Concurrent readers exercise the merge paths while shards COW.
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let shared = shared.clone();
+        let readers: Vec<_> = receivers
+            .into_iter()
+            .map(|rx| {
                 std::thread::spawn(move || {
                     let mut total = 0usize;
-                    for _ in 0..50 {
-                        let snap = shared.pin();
+                    for snap in rx {
                         total += snap.count_pattern(None, None, None);
                         let _ = snap.fulltext().search_prefix("label", 5);
                     }
@@ -193,11 +179,11 @@ fn shard_count_invariance_under_concurrent_readers() {
                 })
             })
             .collect();
-        write_thread.join().unwrap();
+        let store = write_thread.join().unwrap();
         for r in readers {
             r.join().unwrap();
         }
-        let snap = shared.pin();
+        let snap = store.snapshot();
         (snap.export_ntriples(None), snap.epoch(), snap.len())
     };
 
@@ -212,17 +198,15 @@ fn shard_count_invariance_under_concurrent_readers() {
     assert_eq!(len1, len16);
 }
 
-/// Snapshots are plain values: they cross threads, outlive the handle
+/// Snapshots are plain values: they cross threads, outlive the store
 /// that pinned them, and drop in any order without unsafety.
 #[test]
 fn snapshots_outlive_their_handle() {
     let snap = {
-        let shared = SharedStore::new(Store::new());
-        shared.with_write(|store| {
-            let g = store.default_graph();
-            store.insert(&t(1), g);
-        });
-        shared.pin()
+        let mut store = Store::new();
+        let g = store.default_graph();
+        store.insert(&t(1), g);
+        store.snapshot()
     };
     let snap = Arc::new(snap);
     let handles: Vec<_> = (0..4)

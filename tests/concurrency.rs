@@ -2,18 +2,24 @@
 //! under sustained write load, SPARQL over pinned versions, and
 //! crash-recovery identity for the sharded layout.
 //!
-//! Complements `crates/store/tests/mvcc.rs` (raw `SharedStore`
-//! semantics) by exercising the full durable stack the way the web
-//! tier does: a `SharedDurableStore` fed by writer threads while
-//! readers answer queries from snapshots, then a crash and a recovery
-//! that must reproduce the exact pre-crash bytes — shards, epochs,
-//! side indexes and all.
+//! Complements `crates/store/tests/mvcc.rs` (raw `Store` pins) with
+//! the full durable stack: one thread owns the `DurableStore`, journals
+//! mutations under group commit and hands `store().snapshot()` pins to
+//! reader threads that answer queries from them, then a crash and a
+//! recovery must reproduce the exact pre-crash bytes — shards, epochs,
+//! side indexes and all. The last case pins the platform itself with
+//! `Platform::store_snapshot()`, the pin the ingest pool's annotation
+//! stage reads.
 
-use lodify::durability::{
-    DurabilityOptions, DurableStore, GroupCommitPolicy, MemStorage, SharedDurableStore,
-};
+use std::sync::mpsc;
+
+use lodify::core::{AlbumSpec, IngestPool, Platform, Upload};
+use lodify::durability::{DurabilityOptions, DurableStore, GroupCommitPolicy, MemStorage};
 use lodify::rdf::{Term, Triple};
-use lodify::store::Store;
+use lodify::relational::WorkloadConfig;
+use lodify::store::{Store, StoreSnapshot};
+
+const LABELS: &str = "SELECT ?s WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o . }";
 
 fn t(writer: usize, i: usize) -> Triple {
     Triple::spo(
@@ -23,58 +29,55 @@ fn t(writer: usize, i: usize) -> Triple {
     )
 }
 
-fn durable(batch: usize) -> (SharedDurableStore, MemStorage) {
+fn durable(batch: usize) -> (DurableStore, MemStorage) {
     let mem = MemStorage::new();
     let options = DurabilityOptions {
         group_commit: GroupCommitPolicy::batched(batch),
         snapshot_every_records: None,
     };
     let (engine, _) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
-    (SharedDurableStore::new(engine), mem)
+    (engine, mem)
 }
 
-/// Sustained multi-writer ingest with concurrent SPARQL readers. Every
-/// reader-pinned version must be internally consistent: the SPARQL
-/// answer, the pattern count and the snapshot length all agree, and
-/// published epochs never run backwards.
+/// Sustained multi-tenant ingest with concurrent SPARQL readers. The
+/// writer pins after every journaled insert and hands the pin to each
+/// reader; every pinned version must be internally consistent — the
+/// SPARQL answer, the pattern count and the snapshot length all agree
+/// — and epochs never run backwards.
 #[test]
 fn sparql_readers_ride_snapshots_under_sustained_ingest() {
     const WRITERS: usize = 3;
     const PER_WRITER: usize = 60;
 
-    let (shared, _mem) = durable(16);
-    let g = shared.graph("urn:g:ugc");
-
-    let writer_threads: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                for i in 0..PER_WRITER {
-                    shared.insert(&t(w, i), g).unwrap();
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..3).map(|_| mpsc::channel::<StoreSnapshot>()).unzip();
+    let write_thread = std::thread::spawn(move || {
+        let (mut engine, _mem) = durable(16);
+        let g = engine.graph("urn:g:ugc");
+        for i in 0..PER_WRITER {
+            for w in 0..WRITERS {
+                engine.insert(&t(w, i), g).unwrap();
+                for tx in &senders {
+                    tx.send(engine.store().snapshot()).expect("reader alive");
                 }
-            })
-        })
-        .collect();
+            }
+        }
+        engine
+    });
 
-    let reader_threads: Vec<_> = (0..3)
-        .map(|_| {
-            let shared = shared.clone();
+    let reader_threads: Vec<_> = receivers
+        .into_iter()
+        .map(|rx| {
             std::thread::spawn(move || {
-                let target = (WRITERS * PER_WRITER) as u64;
                 let mut last_epoch = 0u64;
                 let mut pins = 0u64;
-                while last_epoch < target {
-                    let snap = shared.pin();
+                for snap in rx {
                     assert!(snap.epoch() >= last_epoch, "epoch ran backwards");
                     last_epoch = snap.epoch();
 
                     // Three independent read paths over one pinned
                     // version must agree exactly.
-                    let rows = lodify::sparql::execute(
-                        &snap,
-                        "SELECT ?s WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o . }",
-                    )
-                    .unwrap();
+                    let rows = lodify::sparql::execute(&snap, LABELS).unwrap();
                     assert_eq!(rows.len(), snap.len());
                     assert_eq!(snap.count_pattern(None, None, None), snap.len());
                     assert_eq!(snap.len() as u64, snap.epoch(), "insert-only workload");
@@ -85,82 +88,90 @@ fn sparql_readers_ride_snapshots_under_sustained_ingest() {
         })
         .collect();
 
-    for w in writer_threads {
-        w.join().unwrap();
-    }
+    let mut engine = write_thread.join().unwrap();
     for r in reader_threads {
-        assert!(r.join().unwrap() > 0);
+        assert_eq!(r.join().unwrap(), (WRITERS * PER_WRITER) as u64);
     }
-    shared.flush().unwrap();
-    assert_eq!(shared.pin().len(), WRITERS * PER_WRITER);
+    engine.flush().unwrap();
+    assert_eq!(engine.store().snapshot().len(), WRITERS * PER_WRITER);
 }
 
 /// `execute_snapshot` hands back the epoch its rows are valid at, and
-/// the pinned answer survives arbitrary later commits.
+/// the pinned answer survives arbitrary later commits — on a reader
+/// thread, while the owner commits.
 #[test]
 fn execute_snapshot_pins_query_results_to_an_epoch() {
-    let (shared, _mem) = durable(8);
-    let g = shared.graph("urn:g:ugc");
+    let (mut engine, _mem) = durable(8);
+    let g = engine.graph("urn:g:ugc");
     for i in 0..25 {
-        shared.insert(&t(0, i), g).unwrap();
+        engine.insert(&t(0, i), g).unwrap();
     }
 
-    let snap = shared.pin();
-    let (rows, epoch) = lodify::sparql::execute_snapshot(
-        &snap,
-        "SELECT ?s WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o . }",
-    )
-    .unwrap();
-    assert_eq!(rows.len(), 25);
-    assert_eq!(epoch, 25);
+    let (tx, rx) = mpsc::channel::<StoreSnapshot>();
+    let reader = std::thread::spawn(move || {
+        let snap = rx.recv().unwrap();
+        let (rows, epoch) = lodify::sparql::execute_snapshot(&snap, LABELS).unwrap();
+        assert_eq!(rows.len(), 25);
+        assert_eq!(epoch, 25);
 
+        let latest = rx.recv().unwrap();
+        let (again, epoch_again) = lodify::sparql::execute_snapshot(&snap, LABELS).unwrap();
+        assert_eq!(
+            again.len(),
+            25,
+            "pinned snapshot must not see later commits"
+        );
+        assert_eq!(epoch_again, epoch);
+        latest.epoch()
+    });
+
+    tx.send(engine.store().snapshot()).unwrap();
     for i in 25..80 {
-        shared.insert(&t(0, i), g).unwrap();
+        engine.insert(&t(0, i), g).unwrap();
     }
-    let (again, epoch_again) = lodify::sparql::execute_snapshot(
-        &snap,
-        "SELECT ?s WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o . }",
-    )
-    .unwrap();
-    assert_eq!(
-        again.len(),
-        25,
-        "pinned snapshot must not see later commits"
-    );
-    assert_eq!(epoch_again, epoch);
-    assert_eq!(shared.pin().epoch(), 80);
+    tx.send(engine.store().snapshot()).unwrap();
+    assert_eq!(reader.join().unwrap(), 80);
 }
 
-/// Crash-recovery identity over the sharded store: after concurrent
-/// journaled writes (including removals), a crash and WAL replay must
-/// reproduce the exact pre-crash state — export bytes, epoch,
-/// full-text and stats — because recovery re-executes insert/remove
-/// and therefore repopulates every shard and epoch counter.
+/// Crash-recovery identity over the sharded store: after journaled
+/// writes from several tenants (including removals) read concurrently
+/// through pins, a crash and WAL replay must reproduce the exact
+/// pre-crash state — export bytes, epoch, full-text and stats —
+/// because recovery re-executes insert/remove and therefore
+/// repopulates every shard and epoch counter.
 #[test]
 fn crash_recovery_reproduces_sharded_state_exactly() {
-    let (shared, mem) = durable(16);
-    let g = shared.graph("urn:g:ugc");
+    let (tx, rx) = mpsc::channel::<StoreSnapshot>();
+    let write_thread = std::thread::spawn(move || {
+        let (mut engine, mem) = durable(16);
+        let g = engine.graph("urn:g:ugc");
+        for w in 0..4 {
+            for i in 0..40 {
+                engine.insert(&t(w, i), g).unwrap();
+            }
+            // Interleave removals so recovery replays both kinds.
+            for i in (0..40).step_by(5) {
+                engine.remove(&t(w, i)).unwrap();
+            }
+            tx.send(engine.store().snapshot()).unwrap();
+        }
+        (engine, mem)
+    });
+    let reader = std::thread::spawn(move || {
+        let mut last_epoch = 0;
+        for snap in rx {
+            assert!(snap.epoch() > last_epoch, "epoch ran backwards");
+            last_epoch = snap.epoch();
+            assert_eq!(snap.count_pattern(None, None, None), snap.len());
+            assert_eq!(snap.stats().total(), snap.len());
+        }
+        last_epoch
+    });
+    let (mut engine, mem) = write_thread.join().unwrap();
+    engine.flush().unwrap();
 
-    let writer_threads: Vec<_> = (0..4)
-        .map(|w| {
-            let shared = shared.clone();
-            std::thread::spawn(move || {
-                for i in 0..40 {
-                    shared.insert(&t(w, i), g).unwrap();
-                }
-                // Interleave removals so recovery replays both kinds.
-                for i in (0..40).step_by(5) {
-                    shared.remove(&t(w, i)).unwrap();
-                }
-            })
-        })
-        .collect();
-    for w in writer_threads {
-        w.join().unwrap();
-    }
-    shared.flush().unwrap();
-
-    let before = shared.pin();
+    let before = engine.store().snapshot();
+    assert_eq!(reader.join().unwrap(), before.epoch());
     let export_before = before.export_ntriples(None);
     let epoch_before = before.epoch();
     let stats_before = before.stats().total();
@@ -171,7 +182,7 @@ fn crash_recovery_reproduces_sharded_state_exactly() {
         DurableStore::open(Box::new(mem.clone()), DurabilityOptions::default()).unwrap();
     assert!(report.recovered, "recovery must adopt the journaled state");
 
-    let after = recovered.pin();
+    let after = recovered.store().snapshot();
     assert_eq!(after.export_ntriples(None), export_before, "byte identity");
     assert_eq!(after.epoch(), epoch_before, "epochs replay with the WAL");
     assert_eq!(after.stats().total(), stats_before);
@@ -185,17 +196,17 @@ fn crash_recovery_reproduces_sharded_state_exactly() {
 /// replaying.
 #[test]
 fn recovery_is_shard_layout_independent() {
-    let (shared, mem) = durable(8);
-    let g = shared.graph("urn:g:ugc");
+    let (mut engine, mem) = durable(8);
+    let g = engine.graph("urn:g:ugc");
     for i in 0..50 {
-        shared.insert(&t(1, i), g).unwrap();
+        engine.insert(&t(1, i), g).unwrap();
     }
     for i in (0..50).step_by(7) {
-        shared.remove(&t(1, i)).unwrap();
+        engine.remove(&t(1, i)).unwrap();
     }
-    shared.flush().unwrap();
-    let export = shared.pin().export_ntriples(None);
-    let epoch = shared.pin().epoch();
+    engine.flush().unwrap();
+    let export = engine.store().export_ntriples(None);
+    let epoch = engine.store().epoch();
 
     mem.crash();
     // Recover twice from the same storage; the in-memory store the
@@ -211,4 +222,61 @@ fn recovery_is_shard_layout_independent() {
     let g1 = oracle.graph("urn:g:ugc");
     oracle.load_ntriples(&export, g1).unwrap();
     assert_eq!(oracle.export_ntriples(None), export);
+}
+
+/// The production pin: `Platform::store_snapshot()` taken before an
+/// upload and an `IngestPool` batch commit is a repeatable read on a
+/// reader thread — Q1 and the full export answer byte-identically at
+/// the old epoch — while each fresh pin has moved.
+#[test]
+fn platform_pin_is_a_repeatable_read_across_upload_and_batch_commits() {
+    let gaz = lodify::context::Gazetteer::global();
+    let mole = gaz.poi("Mole_Antonelliana").unwrap().point(gaz);
+    let near_mole = |title: &str, ts: i64| Upload {
+        user_id: 1,
+        title: title.into(),
+        tags: vec!["torino".into()],
+        ts,
+        gps: Some(mole),
+        poi: None,
+    };
+
+    let mut platform = Platform::bootstrap(WorkloadConfig::small(42)).unwrap();
+    let pin = platform.store_snapshot();
+    let (tx, rx) = mpsc::channel::<StoreSnapshot>();
+    let reader = std::thread::spawn(move || {
+        let q1 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
+        let album = q1.execute(&pin).unwrap();
+        let export = pin.export_ntriples(None);
+        let count = pin.count_pattern(None, None, None);
+        let epoch = pin.epoch();
+        let mut last = epoch;
+        for fresh in rx {
+            assert_eq!(q1.execute(&pin).unwrap(), album, "Q1 must not move");
+            assert_eq!(pin.export_ntriples(None), export, "export must not move");
+            assert_eq!(pin.count_pattern(None, None, None), count);
+            assert_eq!(pin.epoch(), epoch);
+            assert!(fresh.epoch() > last, "each commit moves the fresh pin");
+            last = fresh.epoch();
+            assert!(q1.execute(&fresh).unwrap().len() > album.len());
+            assert_ne!(fresh.export_ntriples(None), export);
+        }
+        last
+    });
+
+    platform
+        .upload(near_mole("Tramonto alla Mole", 1_320_500_000))
+        .unwrap();
+    tx.send(platform.store_snapshot()).unwrap();
+    let report = IngestPool::new(2).ingest(
+        &mut platform,
+        vec![
+            near_mole("Mole Antonelliana at dusk", 1_320_600_000),
+            near_mole("Torino by night", 1_320_600_100),
+        ],
+    );
+    assert!(report.is_clean());
+    tx.send(platform.store_snapshot()).unwrap();
+    drop(tx);
+    assert_eq!(reader.join().unwrap(), platform.store_snapshot().epoch());
 }
