@@ -15,25 +15,14 @@
 //! relational DB technology" baseline the paper contrasts with — and
 //! the E5 experiment cross-checks both.
 //!
-//! # Materialized albums
+//! # Serving albums
 //!
-//! Re-running the full SPARQL query on every album view is the hot
-//! path the paper's Virtuoso deployment would melt under. An
-//! [`AlbumCache`] memoizes each album's solved links as a
-//! [`MaterializedAlbum`] keyed by the store's **mutation epoch**
-//! ([`Store::epoch`]): an entry stays valid while none of the
-//! predicates its query reads ([`AlbumSpec::predicates`]) has seen a
-//! mutation ([`Store::predicate_epoch`]). Invalidation is therefore
-//! *incremental* — rating a picture (a `rev:rating` mutation)
-//! invalidates Q3 albums but leaves Q1 albums cached. Hit, miss and
-//! invalidation counters surface through
-//! [`OpsSnapshot`](crate::metrics::OpsSnapshot).
+//! A view does not re-run the query: [`crate::live::LiveService`]
+//! materialises each viewed album once in the standing-query engine,
+//! which patches it on every commit. [`AlbumSpec::execute`] stays the
+//! reference the engine is held equal to.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use lodify_rdf::{ns, Iri, Point, Term};
+use lodify_rdf::{Literal, Point};
 use lodify_relational::{coppermine as cpg, Database};
 use lodify_store::Store;
 
@@ -70,30 +59,18 @@ pub struct AlbumSpec {
     pub order_by_rating: bool,
     /// Optional result cap.
     pub limit: Option<usize>,
-    /// Predicates the generated query reads, derived by the builders
-    /// so that every cache probe borrows instead of allocating.
-    preds: Vec<Iri>,
 }
 
-/// The constant predicates a query with the given refinements reads.
-fn derive_predicates(social: bool, rated: bool) -> Vec<Iri> {
-    let mut preds = vec![
-        ns::iri::rdfs_label(),
-        ns::iri::geo_geometry(),
-        ns::iri::rdf_type(),
-        ns::iri::image_data(),
-    ];
-    if social {
-        preds.extend([
-            ns::iri::foaf_maker(),
-            ns::iri::foaf_name(),
-            ns::iri::foaf_knows(),
-        ]);
-    }
-    if rated {
-        preds.push(ns::iri::rev_rating());
-    }
-    preds
+/// Largest radius an album may have. It bounds the anchor-grid cells
+/// the standing-query engine probes per delta.
+pub const MAX_RADIUS_KM: f64 = 20.0;
+
+/// Escapes text for a double-quoted SPARQL string literal.
+fn escape_literal(text: &str) -> String {
+    text.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
 }
 
 impl AlbumSpec {
@@ -106,7 +83,6 @@ impl AlbumSpec {
             friend_of: None,
             order_by_rating: false,
             limit: None,
-            preds: derive_predicates(false, false),
         }
     }
 
@@ -114,14 +90,12 @@ impl AlbumSpec {
     /// user X").
     pub fn friends_of(mut self, user_name: &str) -> AlbumSpec {
         self.friend_of = Some(user_name.to_string());
-        self.preds = derive_predicates(true, self.order_by_rating);
         self
     }
 
     /// Q3: order by rating, best first.
     pub fn rated(mut self) -> AlbumSpec {
         self.order_by_rating = true;
-        self.preds = derive_predicates(self.friend_of.is_some(), true);
         self
     }
 
@@ -140,13 +114,13 @@ impl AlbumSpec {
   ?resource a sioct:MicroblogPost .
   ?resource comm:image-data ?link .
 "#,
-            label = self.monument_label.replace('"', "\\\""),
+            label = escape_literal(&self.monument_label),
             lang = self.label_lang,
         );
         if let Some(user) = &self.friend_of {
             body.push_str(&format!(
                 "  ?resource foaf:maker ?user .\n  ?friend foaf:name \"{}\" .\n  ?user foaf:knows ?friend .\n",
-                user.replace('"', "\\\"")
+                escape_literal(user)
             ));
         }
         if self.order_by_rating {
@@ -182,296 +156,19 @@ impl AlbumSpec {
             .collect())
     }
 
-    /// The constant predicates the generated query reads. A cached
-    /// answer stays valid while none of them has seen a mutation —
-    /// the incremental-invalidation contract of [`AlbumCache`]. The
-    /// slice is computed once by the builders, so probing it on the
-    /// cache hot path is allocation-free.
-    pub fn predicates(&self) -> &[Iri] {
-        &self.preds
-    }
-}
-
-/// Max per-predicate epoch over the query's predicates: the album's
-/// validity fingerprint. Epochs only grow, so an unchanged fingerprint
-/// proves no statement any of these predicates could reach was added
-/// or removed since the album was solved.
-fn fingerprint(spec: &AlbumSpec, store: &Store) -> u64 {
-    spec.predicates()
-        .iter()
-        .map(|iri| {
-            store
-                .id_of(&Term::Iri(iri.clone()))
-                .map(|id| store.predicate_epoch(id))
-                .unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// One solved virtual album: the result links plus the epoch
-/// fingerprint they are valid for.
-#[derive(Debug, Clone)]
-pub struct MaterializedAlbum {
-    /// Media links, in query result order.
-    pub links: Vec<String>,
-    /// [`Store::epoch`] when the album was solved (diagnostics).
-    pub solved_at: u64,
-    /// Validity fingerprint (see [`fingerprint`]).
-    valid_for: u64,
-}
-
-impl MaterializedAlbum {
-    /// Runs the album query and records the epoch fingerprint it is
-    /// valid for.
-    pub fn solve(spec: &AlbumSpec, store: &Store) -> Result<MaterializedAlbum, PlatformError> {
-        Ok(MaterializedAlbum {
-            links: spec.execute(store)?,
-            solved_at: store.epoch(),
-            valid_for: fingerprint(spec, store),
-        })
-    }
-
-    /// Whether the solved links still answer `spec` over `store`: true
-    /// iff no predicate the query reads mutated since [`Self::solve`].
-    pub fn is_fresh(&self, spec: &AlbumSpec, store: &Store) -> bool {
-        fingerprint(spec, store) == self.valid_for
-    }
-}
-
-/// Album-cache counters, surfaced through
-/// [`OpsSnapshot`](crate::metrics::OpsSnapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlbumCacheStats {
-    /// Views served straight from a fresh materialized album.
-    pub hits: u64,
-    /// Views that had to solve the query (cold or invalidated).
-    pub misses: u64,
-    /// Entries dropped because a relevant predicate mutated.
-    pub invalidations: u64,
-    /// Predicate-epoch fingerprint computations. Memoized per store
-    /// epoch, so a warm view at an unchanged epoch costs zero of these.
-    pub fingerprint_recomputes: u64,
-    /// Materialized albums currently held.
-    pub entries: usize,
-}
-
-/// What one [`AlbumCache::view_with`] call did, so a caller publishing
-/// per-view metrics counts its own view and not the deltas of counters
-/// every concurrent viewer shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViewOutcome {
-    /// Served from a fresh materialized album.
-    Hit,
-    /// No entry: solved and admitted (a miss).
-    Cold,
-    /// A stale entry was dropped, then solved and admitted (an
-    /// invalidation and a miss).
-    Stale,
-}
-
-/// Epoch-validated memo of solved virtual albums.
-///
-/// Interior mutability (a mutex around the entry map, atomics for the
-/// counters) lets the cache serve and admit entries through `&self`,
-/// so read paths — the web `/album` route holds the platform
-/// immutably — stay lock-friendly.
-///
-/// ```
-/// use lodify_core::albums::{AlbumCache, AlbumSpec};
-/// use lodify_rdf::{ns, Literal, Point, Term, Triple};
-/// use lodify_store::Store;
-///
-/// let mut store = Store::new();
-/// let g = store.default_graph();
-/// let mole = Point::new(7.6933, 45.0692)?;
-/// let monument = "http://dbpedia.org/resource/Mole_Antonelliana";
-/// store.insert(
-///     &Triple::spo(
-///         monument,
-///         ns::iri::rdfs_label().as_str(),
-///         Term::Literal(Literal::lang("Mole Antonelliana", "it")?),
-///     ),
-///     g,
-/// );
-/// store.insert(
-///     &Triple::spo(
-///         monument,
-///         ns::iri::geo_geometry().as_str(),
-///         Term::Literal(mole.to_literal()),
-///     ),
-///     g,
-/// );
-/// let pic = "http://t/pictures/1";
-/// store.insert(
-///     &Triple::spo(pic, ns::iri::rdf_type().as_str(), Term::Iri(ns::iri::microblog_post())),
-///     g,
-/// );
-/// store.insert(
-///     &Triple::spo(
-///         pic,
-///         ns::iri::geo_geometry().as_str(),
-///         Term::Literal(mole.offset_km(0.05, 0.0).to_literal()),
-///     ),
-///     g,
-/// );
-/// store.insert(
-///     &Triple::spo(pic, ns::iri::image_data().as_str(), Term::literal("http://t/media/1.jpg")),
-///     g,
-/// );
-///
-/// let cache = AlbumCache::new();
-/// let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-/// let cold = cache.view(&store, &spec)?; // solves the SPARQL query
-/// let warm = cache.view(&store, &spec)?; // epoch unchanged: served from cache
-/// assert_eq!(cold, vec!["http://t/media/1.jpg".to_string()]);
-/// assert_eq!(warm, cold);
-/// assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
-///
-/// // Mutating a predicate the query reads invalidates the entry.
-/// store.insert(
-///     &Triple::spo(
-///         "http://t/pictures/2",
-///         ns::iri::image_data().as_str(),
-///         Term::literal("http://t/media/2.jpg"),
-///     ),
-///     g,
-/// );
-/// cache.view(&store, &spec)?;
-/// assert_eq!(cache.stats().invalidations, 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct AlbumCache {
-    entries: Mutex<HashMap<String, CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    fingerprint_recomputes: AtomicU64,
-}
-
-/// A cached album plus the fingerprint memo: `fp` is the query's
-/// predicate-epoch fingerprint as of store epoch `fp_epoch`, so a view
-/// at an unchanged epoch skips the per-predicate recomputation.
-#[derive(Debug)]
-struct CacheEntry {
-    album: MaterializedAlbum,
-    fp_epoch: u64,
-    fp: u64,
-}
-
-impl AlbumCache {
-    /// An empty cache.
-    pub fn new() -> AlbumCache {
-        AlbumCache::default()
-    }
-
-    /// Serves an album view: a fresh materialized album is returned
-    /// as-is (hit); a stale one is dropped (invalidation) and, like a
-    /// cold view, re-solved and admitted (miss).
-    pub fn view(&self, store: &Store, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
-        self.view_with(store, spec, |spec| spec.execute(store)).1
-    }
-
-    /// [`Self::view`] with a caller-supplied solver for the miss path.
-    ///
-    /// The solver must answer `spec` over `store` (the epoch
-    /// fingerprint admitted with the result is read from `store`);
-    /// callers use this to route cold/stale solves through an
-    /// instrumented SPARQL entry point instead of the plain engine.
-    /// The [`ViewOutcome`] is reported whether or not the solve
-    /// succeeded, exactly as the counters are bumped.
-    pub fn view_with<F>(
-        &self,
-        store: &Store,
-        spec: &AlbumSpec,
-        solve: F,
-    ) -> (ViewOutcome, Result<Vec<String>, PlatformError>)
-    where
-        F: FnOnce(&AlbumSpec) -> Result<Vec<String>, PlatformError>,
-    {
-        let key = spec.to_sparql();
-        let epoch = store.epoch();
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut outcome = ViewOutcome::Cold;
-        if let Some(entry) = entries.get_mut(&key) {
-            if entry.fp_epoch != epoch {
-                entry.fp = fingerprint(spec, store);
-                entry.fp_epoch = epoch;
-                self.fingerprint_recomputes.fetch_add(1, Ordering::Relaxed);
-            }
-            if entry.fp == entry.album.valid_for {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return (ViewOutcome::Hit, Ok(entry.album.links.clone()));
-            }
-            entries.remove(&key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            outcome = ViewOutcome::Stale;
+    /// Checks a spec that came from outside the program: the radius
+    /// must be finite, positive and at most [`MAX_RADIUS_KM`], and the
+    /// language tag one [`Literal::lang`] accepts.
+    pub fn check(&self) -> Result<(), PlatformError> {
+        if !(self.radius_km > 0.0 && self.radius_km <= MAX_RADIUS_KM) {
+            return Err(PlatformError::Invalid(format!(
+                "radius {} km outside (0, {MAX_RADIUS_KM}]",
+                self.radius_km
+            )));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let links = match solve(spec) {
-            Ok(links) => links,
-            Err(e) => return (outcome, Err(e)),
-        };
-        let fp = fingerprint(spec, store);
-        self.fingerprint_recomputes.fetch_add(1, Ordering::Relaxed);
-        entries.insert(
-            key,
-            CacheEntry {
-                album: MaterializedAlbum {
-                    links: links.clone(),
-                    solved_at: epoch,
-                    valid_for: fp,
-                },
-                fp_epoch: epoch,
-                fp,
-            },
-        );
-        (outcome, Ok(links))
-    }
-
-    /// Installs an externally maintained answer for `spec` — the live
-    /// standing-query engine ([`crate::live`]) patches albums in place
-    /// instead of letting a mutation invalidate them, so the next view
-    /// is a hit rather than a re-solve. Counts as neither hit nor miss.
-    pub fn patch(&self, store: &Store, spec: &AlbumSpec, links: Vec<String>) {
-        let epoch = store.epoch();
-        let fp = fingerprint(spec, store);
-        self.fingerprint_recomputes.fetch_add(1, Ordering::Relaxed);
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(
-                spec.to_sparql(),
-                CacheEntry {
-                    album: MaterializedAlbum {
-                        links,
-                        solved_at: epoch,
-                        valid_for: fp,
-                    },
-                    fp_epoch: epoch,
-                    fp,
-                },
-            );
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> AlbumCacheStats {
-        AlbumCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            fingerprint_recomputes: self.fingerprint_recomputes.load(Ordering::Relaxed),
-            entries: self.entries.lock().unwrap_or_else(|e| e.into_inner()).len(),
-        }
-    }
-
-    /// Drops every materialized album (counters are kept).
-    pub fn clear(&self) {
-        self.entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        Literal::lang(&self.monument_label, &self.label_lang)
+            .map_err(|e| PlatformError::Invalid(e.to_string()))?;
+        Ok(())
     }
 }
 
@@ -679,9 +376,10 @@ mod tests {
         ));
     }
 
-    // ----- materialized album cache -----
+    // ----- serving views -----
 
-    use lodify_rdf::{Literal, Triple};
+    use crate::live::{AlbumCacheStats, LiveService};
+    use lodify_rdf::{ns, Term, Triple};
 
     /// A minimal hand-built store answering Q1/Q3 near the Mole.
     fn tiny_store() -> (Store, Triple) {
@@ -739,177 +437,95 @@ mod tests {
         (store, rating)
     }
 
-    #[test]
-    fn cache_serves_hits_until_a_relevant_mutation() {
-        let (mut store, _) = tiny_store();
-        let cache = AlbumCache::new();
-        let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-
-        let cold = cache.view(&store, &spec).unwrap();
-        assert_eq!(cold, vec!["http://t/media/1.jpg"]);
-        let warm = cache.view(&store, &spec).unwrap();
-        assert_eq!(warm, cold);
-        assert_eq!(
-            cache.stats(),
-            AlbumCacheStats {
-                hits: 1,
-                misses: 1,
-                invalidations: 0,
-                fingerprint_recomputes: 1,
-                entries: 1
-            }
-        );
-
-        // A mutation on a predicate the query reads invalidates.
-        let g = store.default_graph();
-        store.insert(
-            &Triple::spo(
-                "http://t/pictures/2",
-                ns::iri::image_data().as_str(),
-                Term::literal("http://t/media/2.jpg"),
-            ),
-            g,
-        );
-        let _ = cache.view(&store, &spec).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn invalidation_is_incremental_per_predicate() {
-        let (mut store, _) = tiny_store();
-        let cache = AlbumCache::new();
-        let q1 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-        let q3 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3).rated();
-        cache.view(&store, &q1).unwrap();
-        cache.view(&store, &q3).unwrap();
-
-        // A rating mutation touches only rev:rating — Q3 reads it,
-        // Q1 does not.
-        let g = store.default_graph();
-        store.insert(
-            &Triple::spo(
-                "http://t/pictures/1",
-                ns::iri::rev_rating().as_str(),
-                Term::Literal(Literal::integer(5)),
-            ),
-            g,
-        );
-        cache.view(&store, &q1).unwrap();
-        cache.view(&store, &q3).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1, "Q1 stays cached across a rating change");
-        assert_eq!(stats.invalidations, 1, "Q3 is re-solved");
-    }
-
     /// Regression (the stats-drift bug class from the durability PR):
-    /// `Store::remove` must advance the epoch and fire invalidation,
-    /// not just inserts.
+    /// a committed `Store::remove` must reach a served album, not just
+    /// inserts.
     #[test]
     fn cache_invalidation_fires_on_store_remove() {
         let (mut store, rating) = tiny_store();
-        let cache = AlbumCache::new();
+        let mut live = LiveService::new();
         let q3 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3).rated();
-        let before = cache.view(&store, &q3).unwrap();
+        let before = live.view(&store, &q3).unwrap();
         assert_eq!(before, vec!["http://t/media/1.jpg"]);
 
         assert!(store.remove(&rating));
-        let after = cache.view(&store, &q3).unwrap();
+        live.on_commit(&store, &[], std::slice::from_ref(&rating), None);
+        let after = live.view(&store, &q3).unwrap();
         assert!(
             after.is_empty(),
             "removing the rating drops the picture from Q3"
         );
-        let stats = cache.stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.hits, 0);
-    }
-
-    #[test]
-    fn materialized_album_reports_freshness() {
-        let (mut store, rating) = tiny_store();
-        let q3 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3).rated();
-        let album = MaterializedAlbum::solve(&q3, &store).unwrap();
-        assert_eq!(album.solved_at, store.epoch());
-        assert!(album.is_fresh(&q3, &store));
-        store.remove(&rating);
-        assert!(!album.is_fresh(&q3, &store));
-    }
-
-    /// Satellite regression: the predicate-epoch fingerprint is
-    /// memoized per store epoch — warm views at an unchanged epoch do
-    /// not rescan the spec's predicates.
-    #[test]
-    fn fingerprint_is_memoized_per_store_epoch() {
-        let (mut store, _) = tiny_store();
-        let cache = AlbumCache::new();
-        let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-
-        cache.view(&store, &spec).unwrap();
-        assert_eq!(cache.stats().fingerprint_recomputes, 1, "cold admit");
-        for _ in 0..10 {
-            cache.view(&store, &spec).unwrap();
-        }
-        assert_eq!(
-            cache.stats().fingerprint_recomputes,
-            1,
-            "warm views reuse the memo"
-        );
-
-        // Any epoch bump (even on an irrelevant predicate) costs
-        // exactly one recomputation on the next view.
-        let g = store.default_graph();
-        store.insert(
-            &Triple::spo(
-                "http://t/pictures/1",
-                ns::iri::foaf_maker().as_str(),
-                Term::literal("nobody"),
-            ),
-            g,
-        );
-        cache.view(&store, &spec).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.fingerprint_recomputes, 2);
-        assert_eq!(stats.hits, 11, "irrelevant predicate: still a hit");
-    }
-
-    /// A patched entry serves subsequent views as hits — the live
-    /// engine's contract for skipping invalidation entirely.
-    #[test]
-    fn patched_entry_is_served_as_a_hit() {
-        let (mut store, _) = tiny_store();
-        let cache = AlbumCache::new();
-        let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-        cache.view(&store, &spec).unwrap();
-
-        // Mutate, then patch the maintained answer in place.
-        let g = store.default_graph();
-        store.insert(
-            &Triple::spo(
-                "http://t/pictures/2",
-                ns::iri::image_data().as_str(),
-                Term::literal("http://t/media/2.jpg"),
-            ),
-            g,
-        );
-        let fresh = spec.execute(&store).unwrap();
-        cache.patch(&store, &spec, fresh.clone());
-
-        let served = cache.view(&store, &spec).unwrap();
-        assert_eq!(served, fresh);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 1, 0));
+        assert_eq!(after, q3.execute(&store).unwrap());
+        let stats = live.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn clear_drops_entries_but_keeps_counters() {
         let (store, _) = tiny_store();
-        let cache = AlbumCache::new();
+        let live = LiveService::new();
         let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
-        cache.view(&store, &spec).unwrap();
-        cache.clear();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.misses, 1);
+        live.view(&store, &spec).unwrap();
+        live.clear();
+        assert_eq!(
+            live.cache_stats(),
+            AlbumCacheStats {
+                hits: 0,
+                misses: 1,
+                entries: 0
+            }
+        );
+    }
+
+    /// A label with a backslash before a quote must not close the
+    /// reference query's literal early: the view and `execute` agree.
+    #[test]
+    fn to_sparql_escapes_backslashes_quotes_and_line_breaks() {
+        let (mut store, _) = tiny_store();
+        let label = "x\\\" } #\nline";
+        let g = store.default_graph();
+        store.insert(
+            &Triple::spo(
+                "http://dbpedia.org/resource/Mole_Antonelliana",
+                ns::iri::rdfs_label().as_str(),
+                Term::Literal(Literal::lang(label, "it").unwrap()),
+            ),
+            g,
+        );
+        let spec = AlbumSpec::near_monument(label, "it", 0.3);
+        let query = spec.to_sparql();
+        assert!(query.contains(r#""x\\\" } #\nline"@it"#), "{query}");
+        let viewed = LiveService::new().view(&store, &spec).unwrap();
+        assert_eq!(viewed, ["http://t/media/1.jpg"]);
+        assert_eq!(viewed, spec.execute(&store).unwrap());
+        let social = spec.friends_of("a\\\"b").to_sparql();
+        assert!(social.contains(r#"foaf:name "a\\\"b""#), "{social}");
+    }
+
+    #[test]
+    fn check_rejects_radii_and_language_tags_from_outside() {
+        let ok = AlbumSpec::near_monument("Mole Antonelliana", "it", MAX_RADIUS_KM);
+        assert!(ok.check().is_ok());
+        for radius in [
+            f64::NAN,
+            f64::INFINITY,
+            0.0,
+            -1.0,
+            MAX_RADIUS_KM * 2.0,
+            1e300,
+        ] {
+            let spec = AlbumSpec::near_monument("Mole Antonelliana", "it", radius);
+            assert!(
+                matches!(spec.check(), Err(PlatformError::Invalid(_))),
+                "{radius}"
+            );
+        }
+        for lang in ["", "it x", "it\"", "1t"] {
+            let spec = AlbumSpec::near_monument("Mole Antonelliana", lang, 0.3);
+            assert!(
+                matches!(spec.check(), Err(PlatformError::Invalid(_))),
+                "{lang:?}"
+            );
+        }
     }
 }

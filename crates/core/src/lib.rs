@@ -36,7 +36,7 @@
 //!   chaos-verified convergence (ROADMAP item 3);
 //! * [`live`] — live albums (ROADMAP item 4): a standing-query engine
 //!   that maintains materialized albums differentially from committed
-//!   deltas instead of invalidating them, and a SparqlPuSH hub that
+//!   deltas and serves every album view, and a SparqlPuSH hub that
 //!   ships the resulting diffs to subscribers with at-least-once
 //!   delivery and idempotent apply;
 //! * [`admission`] — per-tenant token-bucket quotas and queue-depth

@@ -36,6 +36,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
 use lodify_obs::TraceContext;
 use lodify_rdf::{ns, Iri, Literal, Point, Term, Triple};
@@ -166,6 +167,12 @@ impl ResourceState {
 /// One registered standing query plus its retained state.
 struct LiveAlbum {
     spec: AlbumSpec,
+    /// [`AlbumSpec::to_sparql`]: the key that makes one materialisation
+    /// per query.
+    query: String,
+    /// Registered through [`StandingQueryEngine::register`] rather than
+    /// installed by a view: survives [`StandingQueryEngine::drop_unpinned`].
+    pinned: bool,
     /// The monument label literal the query anchors on.
     label: Literal,
     /// Monument subjects currently carrying that label.
@@ -182,6 +189,60 @@ struct LiveAlbum {
 }
 
 impl LiveAlbum {
+    /// Re-resolves the album from `store` alone: anchors, then every
+    /// candidate (the geo index near an anchor, plus `extra`) evaluated
+    /// afresh. Touches no engine index. Returns the evaluations made.
+    fn resolve(
+        &mut self,
+        store: &Store,
+        preds: &PredIris,
+        extra: impl IntoIterator<Item = TermId>,
+    ) -> u64 {
+        let ids = PredIds::resolve(store, preds);
+        let label = Term::Literal(self.label.clone());
+        let mut anchor_subjects = BTreeSet::new();
+        let mut anchors = Vec::new();
+        for t in store.match_terms(None, Some(&preds.label), Some(&label)) {
+            let Some(mid) = store.id_of(&t.subject) else {
+                continue;
+            };
+            anchor_subjects.insert(mid);
+            for g in store.match_terms(Some(&t.subject), Some(&preds.geometry), None) {
+                if let Term::Literal(l) = &g.object {
+                    if let Ok(point) = Point::from_literal(l) {
+                        anchors.push(point);
+                    }
+                }
+            }
+        }
+
+        let mut candidates: BTreeSet<TermId> = extra.into_iter().collect();
+        for &anchor in &anchors {
+            for (sid, _) in store.geo().within_km(anchor, self.spec.radius_km) {
+                candidates.insert(sid);
+            }
+        }
+        let evals = candidates.len() as u64;
+        let (social, rated) = (self.spec.friend_of.is_some(), self.spec.order_by_rating);
+        self.resources = candidates
+            .into_iter()
+            .map(|sid| (sid, eval_resource(store, &ids, &self.spec, &anchors, sid)))
+            .filter(|(_, state)| state.supported(social, rated))
+            .collect();
+        self.anchor_subjects = anchor_subjects;
+        self.anchors = anchors;
+        evals
+    }
+
+    /// Recomputes the canonical answer from the retained state without
+    /// diffing — for a fresh solve or a rebuild, where there is no prior
+    /// answer to diff against. [`StandingQueryEngine::apply`] instead
+    /// diffs in its final phase.
+    fn settle(&mut self) {
+        self.members = self.recompute_members();
+        self.visible = self.visible_of(&self.members);
+    }
+
     fn recompute_members(&self) -> BTreeMap<String, Option<Rank>> {
         let rated = self.spec.order_by_rating;
         let mut members: BTreeMap<String, Option<Rank>> = BTreeMap::new();
@@ -293,10 +354,30 @@ pub struct EngineStats {
     pub diffs: u64,
 }
 
+/// An album solved from a store but not installed in any engine: the
+/// half of [`StandingQueryEngine::register`] that reads the store and
+/// needs no access to the engine.
+pub(crate) struct SolvedAlbum {
+    album: LiveAlbum,
+    evals: u64,
+}
+
+impl SolvedAlbum {
+    /// The solved answer, byte-equal to [`AlbumSpec::execute`] over the
+    /// store it was solved from.
+    pub(crate) fn links(&self) -> &[String] {
+        &self.album.visible
+    }
+}
+
 /// Incremental evaluator for registered album queries. See the module
-/// docs for the delta → diff pipeline.
+/// docs for the delta → diff pipeline. It holds at most one album per
+/// query text, and an album keeps its id until it is dropped.
 pub struct StandingQueryEngine {
-    albums: Vec<LiveAlbum>,
+    albums: BTreeMap<LiveAlbumId, LiveAlbum>,
+    next_id: LiveAlbumId,
+    /// [`AlbumSpec::to_sparql`] → album.
+    by_query: HashMap<String, LiveAlbumId>,
     preds: PredIris,
     /// Anchor grid: cell → (album, anchor point). Probes are flat in
     /// the number of registered albums.
@@ -308,9 +389,9 @@ pub struct StandingQueryEngine {
     /// Anchor subject → albums anchored on it.
     anchor_index: HashMap<TermId, BTreeSet<LiveAlbumId>>,
     /// Monument label literal → albums anchored on it.
-    label_index: HashMap<Literal, Vec<LiveAlbumId>>,
+    label_index: HashMap<Literal, BTreeSet<LiveAlbumId>>,
     /// `friend_of` name → social albums filtering on it.
-    friend_index: HashMap<String, Vec<LiveAlbumId>>,
+    friend_index: HashMap<String, BTreeSet<LiveAlbumId>>,
     stats: EngineStats,
 }
 
@@ -325,7 +406,9 @@ impl StandingQueryEngine {
     /// near-no-op until the first [`Self::register`].
     pub fn new() -> StandingQueryEngine {
         StandingQueryEngine {
-            albums: Vec::new(),
+            albums: BTreeMap::new(),
+            next_id: 0,
+            by_query: HashMap::new(),
             preds: PredIris::new(),
             grid: HashMap::new(),
             max_radius_km: 0.0,
@@ -337,29 +420,84 @@ impl StandingQueryEngine {
         }
     }
 
-    /// Registers a standing query and builds its initial state from
-    /// `store`. Returns the album's handle.
+    /// Registers a standing query, pinned, and builds its initial state
+    /// from `store`. Returns the album's handle; a query already
+    /// registered keeps its album, which is pinned from now on.
     pub fn register(&mut self, store: &Store, spec: &AlbumSpec) -> LiveAlbumId {
-        let id = self.albums.len();
-        let label = Literal::lang(&spec.monument_label, &spec.label_lang)
-            .unwrap_or_else(|_| Literal::simple(&spec.monument_label));
-        self.albums.push(LiveAlbum {
+        self.install(Self::solve(store, spec), true)
+    }
+
+    /// Solves `spec` over `store` from scratch, reading nothing but the
+    /// store, so a caller can run it without holding the engine.
+    pub(crate) fn solve(store: &Store, spec: &AlbumSpec) -> SolvedAlbum {
+        let mut album = LiveAlbum {
             spec: spec.clone(),
-            label: label.clone(),
+            query: spec.to_sparql(),
+            pinned: false,
+            label: Literal::lang(&spec.monument_label, &spec.label_lang)
+                .unwrap_or_else(|_| Literal::simple(&spec.monument_label)),
             anchor_subjects: BTreeSet::new(),
             anchors: Vec::new(),
             resources: HashMap::new(),
             members: BTreeMap::new(),
             visible: Vec::new(),
-        });
-        self.label_index.entry(label).or_default().push(id);
-        if let Some(name) = &spec.friend_of {
-            self.friend_index.entry(name.clone()).or_default().push(id);
+        };
+        let evals = album.resolve(store, &PredIris::new(), []);
+        album.settle();
+        SolvedAlbum { album, evals }
+    }
+
+    /// Installs a solved album and returns its id. If its query is
+    /// already registered, the installed album is kept (and pinned when
+    /// `pinned`) and `solved` is dropped. The store must not have
+    /// changed since the solve.
+    pub(crate) fn install(&mut self, solved: SolvedAlbum, pinned: bool) -> LiveAlbumId {
+        if let Some(&id) = self.by_query.get(&solved.album.query) {
+            self.album_mut(id).pinned |= pinned;
+            return id;
         }
-        self.max_radius_km = self.max_radius_km.max(spec.radius_km);
-        self.refresh(store, id);
-        self.settle(id);
+        let id = self.next_id;
+        self.next_id += 1;
+        let mut album = solved.album;
+        album.pinned = pinned;
+        self.stats.refreshes += 1;
+        self.stats.resource_evals += solved.evals;
+        self.max_radius_km = self.max_radius_km.max(album.spec.radius_km);
+        self.by_query.insert(album.query.clone(), id);
+        self.albums.insert(id, album);
+        self.index(id);
         id
+    }
+
+    /// The album registered for a query text ([`AlbumSpec::to_sparql`]).
+    pub(crate) fn find(&self, query: &str) -> Option<LiveAlbumId> {
+        self.by_query.get(query).copied()
+    }
+
+    /// Number of albums not pinned by [`Self::register`].
+    pub(crate) fn unpinned(&self) -> usize {
+        self.albums.values().filter(|a| !a.pinned).count()
+    }
+
+    /// Unregisters every album [`Self::register`] did not pin. The
+    /// albums that stay keep their ids.
+    pub(crate) fn drop_unpinned(&mut self) {
+        let dropped: Vec<LiveAlbumId> = self
+            .albums
+            .iter()
+            .filter(|(_, album)| !album.pinned)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in dropped {
+            self.unindex(id);
+            let album = self.albums.remove(&id).expect("listed above");
+            self.by_query.remove(&album.query);
+        }
+        self.max_radius_km = self
+            .albums
+            .values()
+            .map(|a| a.spec.radius_km)
+            .fold(0.0, f64::max);
     }
 
     /// Number of registered albums.
@@ -372,16 +510,21 @@ impl StandingQueryEngine {
         self.albums.is_empty()
     }
 
+    /// The registered album ids, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = LiveAlbumId> + '_ {
+        self.albums.keys().copied()
+    }
+
     /// The maintained answer — canonical order, post-`LIMIT` — kept
     /// byte-equal to [`AlbumSpec::execute`] over the same store.
     pub fn links(&self, id: LiveAlbumId) -> &[String] {
-        &self.albums[id].visible
+        &self.albums[&id].visible
     }
 
     /// Full membership with ranks, in canonical order — the snapshot a
     /// new subscriber is seeded with.
     pub fn members(&self, id: LiveAlbumId) -> Vec<(String, Option<Rank>)> {
-        let album = &self.albums[id];
+        let album = &self.albums[&id];
         let mut out: Vec<(String, Option<Rank>)> = album
             .members
             .iter()
@@ -393,7 +536,7 @@ impl StandingQueryEngine {
 
     /// The registered spec.
     pub fn spec(&self, id: LiveAlbumId) -> &AlbumSpec {
-        &self.albums[id].spec
+        &self.albums[&id].spec
     }
 
     /// Maintenance counters.
@@ -405,9 +548,10 @@ impl StandingQueryEngine {
     /// crash-recovery path: after a WAL replay restores the store, one
     /// `rebuild` call restores the standing-query state.
     pub fn rebuild(&mut self, store: &Store) {
-        for id in 0..self.albums.len() {
+        let ids: Vec<LiveAlbumId> = self.ids().collect();
+        for id in ids {
             self.refresh(store, id);
-            self.settle(id);
+            self.album_mut(id).settle();
         }
     }
 
@@ -442,7 +586,7 @@ impl StandingQueryEngine {
             if refresh.contains(&aid) {
                 continue;
             }
-            let album = &self.albums[aid];
+            let album = &self.albums[&aid];
             evals.push((
                 aid,
                 sid,
@@ -460,7 +604,7 @@ impl StandingQueryEngine {
         // Phase 3 — recompute canonical answers and diff.
         let mut diffs = Vec::new();
         for aid in touched {
-            let album = &self.albums[aid];
+            let album = &self.albums[&aid];
             let new_members = album.recompute_members();
             let new_visible = album.visible_of(&new_members);
             let diff = diff_members(
@@ -470,7 +614,7 @@ impl StandingQueryEngine {
                 &album.visible,
                 &new_visible,
             );
-            let album = &mut self.albums[aid];
+            let album = self.album_mut(aid);
             album.members = new_members;
             album.visible = new_visible;
             if !diff.is_empty() {
@@ -563,7 +707,7 @@ impl StandingQueryEngine {
     ) {
         if let Some(albums) = self.tracked.get(&sid) {
             for &aid in albums {
-                if keep(&self.albums[aid].spec) {
+                if keep(&self.albums[&aid].spec) {
                     pairs.insert((aid, sid));
                 }
             }
@@ -590,7 +734,7 @@ impl StandingQueryEngine {
                 continue;
             };
             for aid in self.probe(point) {
-                if keep(&self.albums[aid].spec) {
+                if keep(&self.albums[&aid].spec) {
                     pairs.insert((aid, sid));
                 }
             }
@@ -613,7 +757,7 @@ impl StandingQueryEngine {
                     continue;
                 };
                 for &(aid, anchor) in entries {
-                    if point.intersects(anchor, self.albums[aid].spec.radius_km) {
+                    if point.intersects(anchor, self.albums[&aid].spec.radius_km) {
                         out.insert(aid);
                     }
                 }
@@ -624,123 +768,98 @@ impl StandingQueryEngine {
 
     /// Rebuilds one album from the store: re-resolves its anchors,
     /// re-enumerates candidates (geo index ∪ current members) and
-    /// re-evaluates each. Used at registration, after anchor/friend
-    /// deltas, and for crash recovery.
+    /// re-evaluates each. Used after anchor/friend deltas and for crash
+    /// recovery.
     fn refresh(&mut self, store: &Store, aid: LiveAlbumId) {
         self.stats.refreshes += 1;
-        let ids = PredIds::resolve(store, &self.preds);
-        let (spec, label, old_anchors, old_subjects, old_resources) = {
-            let album = &self.albums[aid];
-            (
-                album.spec.clone(),
-                album.label.clone(),
-                album.anchors.clone(),
-                album.anchor_subjects.clone(),
-                album.resources.keys().copied().collect::<Vec<_>>(),
-            )
-        };
+        self.unindex(aid);
+        let album = self
+            .albums
+            .get_mut(&aid)
+            .expect("refresh of a registered album");
+        let members: Vec<TermId> = album.resources.keys().copied().collect();
+        self.stats.resource_evals += album.resolve(store, &self.preds, members);
+        self.index(aid);
+    }
 
-        // Re-resolve anchors.
-        let mut anchor_subjects = BTreeSet::new();
-        let mut anchors = Vec::new();
-        for t in store.match_terms(None, Some(&self.preds.label), Some(&Term::Literal(label))) {
-            let Some(mid) = store.id_of(&t.subject) else {
-                continue;
-            };
-            anchor_subjects.insert(mid);
-            for g in store.match_terms(Some(&t.subject), Some(&self.preds.geometry), None) {
-                if let Term::Literal(l) = &g.object {
-                    if let Ok(point) = Point::from_literal(l) {
-                        anchors.push(point);
-                    }
-                }
-            }
+    /// Enters an album into every routing index: its label and friend
+    /// name, and its anchors and retained resources.
+    fn index(&mut self, aid: LiveAlbumId) {
+        let album = &self.albums[&aid];
+        self.label_index
+            .entry(album.label.clone())
+            .or_default()
+            .insert(aid);
+        if let Some(name) = &album.spec.friend_of {
+            self.friend_index
+                .entry(name.clone())
+                .or_default()
+                .insert(aid);
         }
-
-        // Candidates: everything near an anchor plus current members.
-        let mut candidates: BTreeSet<TermId> = old_resources.iter().copied().collect();
-        for &anchor in &anchors {
-            for (sid, _) in store.geo().within_km(anchor, spec.radius_km) {
-                candidates.insert(sid);
-            }
-        }
-        let mut states = Vec::new();
-        for sid in candidates {
-            let state = eval_resource(store, &ids, &spec, &anchors, sid);
-            self.stats.resource_evals += 1;
-            if state.supported(spec.friend_of.is_some(), spec.order_by_rating) {
-                states.push((sid, state));
-            }
-        }
-
-        // Swap in the new anchors and indexes.
-        for &anchor in &old_anchors {
-            if let Some(cell) = self.grid.get_mut(&cell_of(anchor)) {
-                cell.retain(|&(id, _)| id != aid);
-            }
-        }
-        for &anchor in &anchors {
+        for &anchor in &album.anchors {
             self.grid
                 .entry(cell_of(anchor))
                 .or_default()
                 .push((aid, anchor));
         }
-        for mid in &old_subjects {
-            if let Some(set) = self.anchor_index.get_mut(mid) {
-                set.remove(&aid);
-                if set.is_empty() {
-                    self.anchor_index.remove(mid);
-                }
-            }
-        }
-        for &mid in &anchor_subjects {
+        for &mid in &album.anchor_subjects {
             self.anchor_index.entry(mid).or_default().insert(aid);
         }
-        for sid in &old_resources {
-            if let Some(set) = self.tracked.get_mut(sid) {
-                set.remove(&aid);
-                if set.is_empty() {
-                    self.tracked.remove(sid);
-                }
-            }
-        }
-        let album = &mut self.albums[aid];
-        album.anchor_subjects = anchor_subjects;
-        album.anchors = anchors;
-        album.resources.clear();
-        for (sid, state) in states {
-            album.resources.insert(sid, state);
+        for &sid in album.resources.keys() {
             self.tracked.entry(sid).or_default().insert(aid);
         }
     }
 
-    /// Recomputes an album's canonical answer from its retained state
-    /// without diffing — used by [`Self::register`] and
-    /// [`Self::rebuild`], where there is no prior answer to diff
-    /// against. [`Self::apply`] instead diffs in its final phase.
-    fn settle(&mut self, aid: LiveAlbumId) {
-        let album = &mut self.albums[aid];
-        let members = album.recompute_members();
-        let visible = album.visible_of(&members);
-        album.members = members;
-        album.visible = visible;
+    /// Removes what [`Self::index`] entered for an album.
+    fn unindex(&mut self, aid: LiveAlbumId) {
+        let album = &self.albums[&aid];
+        forget(&mut self.label_index, &album.label, aid);
+        if let Some(name) = &album.spec.friend_of {
+            forget(&mut self.friend_index, name, aid);
+        }
+        for &anchor in &album.anchors {
+            if let Some(cell) = self.grid.get_mut(&cell_of(anchor)) {
+                cell.retain(|&(id, _)| id != aid);
+            }
+        }
+        for mid in &album.anchor_subjects {
+            forget(&mut self.anchor_index, mid, aid);
+        }
+        for sid in album.resources.keys() {
+            forget(&mut self.tracked, sid, aid);
+        }
+    }
+
+    fn album_mut(&mut self, aid: LiveAlbumId) -> &mut LiveAlbum {
+        self.albums
+            .get_mut(&aid)
+            .expect("the id of a registered album")
     }
 
     /// Installs a re-evaluated state, keeping the `tracked` reverse
     /// index consistent.
     fn set_state(&mut self, aid: LiveAlbumId, sid: TermId, state: ResourceState) {
-        let album = &mut self.albums[aid];
+        let album = self
+            .albums
+            .get_mut(&aid)
+            .expect("the id of a registered album");
         if state.supported(album.spec.friend_of.is_some(), album.spec.order_by_rating) {
             album.resources.insert(sid, state);
             self.tracked.entry(sid).or_default().insert(aid);
         } else {
             album.resources.remove(&sid);
-            if let Some(set) = self.tracked.get_mut(&sid) {
-                set.remove(&aid);
-                if set.is_empty() {
-                    self.tracked.remove(&sid);
-                }
-            }
+            forget(&mut self.tracked, &sid, aid);
+        }
+    }
+}
+
+/// Removes `aid` from `key`'s set in a reverse index, and the key with
+/// its last album.
+fn forget<K: Hash + Eq>(index: &mut HashMap<K, BTreeSet<LiveAlbumId>>, key: &K, aid: LiveAlbumId) {
+    if let Some(set) = index.get_mut(key) {
+        set.remove(&aid);
+        if set.is_empty() {
+            index.remove(key);
         }
     }
 }
@@ -953,7 +1072,7 @@ mod tests {
             store.insert(t, g);
         }
         let diffs = engine.apply(store, additions, removals);
-        for id in 0..engine.len() {
+        for id in engine.ids() {
             assert_eq!(
                 engine.links(id),
                 engine.spec(id).execute(store).unwrap(),
@@ -971,6 +1090,43 @@ mod tests {
         let id = engine.register(&store, &spec);
         assert_eq!(engine.links(id), spec.execute(&store).unwrap());
         assert_eq!(engine.links(id), ["http://t/media/1.jpg"]);
+    }
+
+    /// A racing install of a query already registered keeps the first
+    /// album; dropping unpinned albums leaves no index entry behind,
+    /// pinned albums keep their ids and no id is reused.
+    #[test]
+    fn install_keeps_one_album_per_query_and_drop_keeps_pinned_ids() {
+        let (mut store, g) = tiny_store();
+        let mut engine = StandingQueryEngine::new();
+        let q1 = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.3);
+        let first = StandingQueryEngine::solve(&store, &q1);
+        let racing = StandingQueryEngine::solve(&store, &q1);
+        let viewed = engine.install(first, false);
+        assert_eq!(engine.install(racing, false), viewed);
+        assert_eq!(engine.len(), 1);
+
+        let pinned = engine.register(&store, &q1.clone().rated());
+        engine.install(
+            StandingQueryEngine::solve(&store, &q1.clone().friends_of("x")),
+            false,
+        );
+        assert_eq!(engine.unpinned(), 2);
+        engine.drop_unpinned();
+        assert_eq!(engine.ids().collect::<Vec<_>>(), [pinned]);
+        assert_eq!(engine.find(&q1.to_sparql()), None);
+        commit(
+            &mut store,
+            g,
+            &mut engine,
+            &picture_triples(2, 0.1, Some(5)),
+            &[],
+        );
+        assert_eq!(engine.links(pinned).len(), 2);
+
+        let again = engine.install(StandingQueryEngine::solve(&store, &q1), false);
+        assert!(again > pinned, "ids are never reused");
+        assert_eq!(engine.links(again), q1.execute(&store).unwrap());
     }
 
     #[test]

@@ -21,8 +21,8 @@ use lodify_resilience::BreakerState;
 use lodify_sparql::PlanCacheStats;
 
 use crate::admission::AdmissionOps;
-use crate::albums::AlbumCacheStats;
 use crate::federation::Federation;
+use crate::live::AlbumCacheStats;
 
 /// Basic precision/recall counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -259,8 +259,8 @@ pub struct OpsSnapshot {
     /// Persistence engine counters (WAL depth, snapshot age, replay
     /// stats), when the store is journal-backed.
     pub durability: Option<DurabilityStats>,
-    /// Materialized-album cache counters (hits, misses, epoch-driven
-    /// invalidations), when the platform serves cached views.
+    /// Album-cache counters (hits, misses, maintained albums), when
+    /// the platform serves cached views.
     pub album_cache: Option<AlbumCacheStats>,
     /// Semantic-resolution cache counters (hits, misses, epoch-driven
     /// invalidations, LRU evictions), when the broker memoizes
@@ -457,8 +457,8 @@ impl fmt::Display for OpsSnapshot {
         if let Some(c) = &self.album_cache {
             write!(
                 f,
-                "\n  album cache hits={} misses={} invalidations={} fingerprints={} entries={}",
-                c.hits, c.misses, c.invalidations, c.fingerprint_recomputes, c.entries
+                "\n  album cache hits={} misses={} entries={}",
+                c.hits, c.misses, c.entries
             )?;
         }
         if let Some(c) = &self.semantic_cache {
@@ -658,8 +658,6 @@ mod tests {
         let stats = AlbumCacheStats {
             hits: 7,
             misses: 2,
-            invalidations: 1,
-            fingerprint_recomputes: 3,
             entries: 2,
         };
         let snapshot = OpsSnapshot::collect(
@@ -672,8 +670,7 @@ mod tests {
         assert_eq!(snapshot.album_cache, Some(stats));
         let rendered = snapshot.to_string();
         assert!(
-            rendered
-                .contains("album cache hits=7 misses=2 invalidations=1 fingerprints=3 entries=2"),
+            rendered.contains("album cache hits=7 misses=2 entries=2"),
             "{rendered}"
         );
     }

@@ -23,10 +23,10 @@ use lodify_store::{GraphId, Store, StoreSnapshot};
 use lodify_tripletags::context_tags::tags_for;
 use lodify_tripletags::{Tag, TagIndex, TripleTag};
 
-use crate::albums::{AlbumCache, AlbumCacheStats, AlbumSpec, ViewOutcome};
+use crate::albums::AlbumSpec;
 use crate::error::PlatformError;
 use crate::federation::Acct;
-use crate::live::{LiveAlbumId, LiveService, SubscriberId};
+use crate::live::{AlbumCacheStats, LiveAlbumId, LiveService, SubscriberId};
 use crate::replication::{Emission, EmissionOutbox, EmissionQuad};
 
 /// Annotation predicate: content → LOD resource it is about.
@@ -156,7 +156,6 @@ pub struct Platform {
     next_vote: i64,
     next_poi_ref: i64,
     fault_plan: Option<FaultPlan>,
-    album_cache: AlbumCache,
     semantic_cache: Arc<SemanticCache>,
     obs: Obs,
     outbox: Option<EmissionOutbox>,
@@ -282,7 +281,6 @@ impl Platform {
             next_vote,
             next_poi_ref,
             fault_plan: None,
-            album_cache: AlbumCache::new(),
             semantic_cache: Arc::new(SemanticCache::new()),
             obs: Obs::new(),
             outbox: None,
@@ -552,7 +550,7 @@ impl Platform {
         // the emission outbox (replication) or the standing-query
         // engine (live albums) — both see exactly what was inserted.
         let semanticize = root.map(|r| r.child("upload.semanticize"));
-        let track_delta = self.outbox.is_some() || !self.live.engine().is_empty();
+        let track_delta = self.outbox.is_some() || !self.live.engine_mut().is_empty();
         let mut emitted: Vec<Triple> = Vec::new();
         if let Some(ref_id) = poi_ref_id {
             let poi_triples = dump::dump_resource(&self.db, &self.mapping, cpg::POI_REFS, ref_id)?;
@@ -590,13 +588,8 @@ impl Platform {
         // Maintain live albums from the committed delta before the
         // outbox consumes it (the engine only borrows the triples).
         let trace = root.and_then(|r| r.context());
-        self.live.on_commit(
-            self.store.store(),
-            Some(&self.album_cache),
-            &emitted,
-            &[],
-            trace,
-        );
+        self.live
+            .on_commit(self.store.store(), &emitted, &[], trace);
 
         if let Some(outbox) = &mut self.outbox {
             let additions = emitted
@@ -748,15 +741,9 @@ impl Platform {
         result: AnnotationResult,
     ) -> Result<usize, PlatformError> {
         self.record_annotation(pid, &result)?;
-        if !self.live.engine().is_empty() {
+        if !self.live.engine_mut().is_empty() {
             let triples = Self::annotation_triples(pid, &result);
-            self.live.on_commit(
-                self.store.store(),
-                Some(&self.album_cache),
-                &triples,
-                &[],
-                None,
-            );
+            self.live.on_commit(self.store.store(), &triples, &[], None);
         }
         let fired = result.terms.iter().filter(|t| t.resource.is_some()).count();
         self.annotations.insert(pid, result);
@@ -780,7 +767,7 @@ impl Platform {
         let subject = Term::Iri(Self::picture_iri(pid));
         // Capture the aggregate triples being replaced so the
         // standing-query engine sees the removal half of the delta.
-        let removed = if self.live.engine().is_empty() {
+        let removed = if self.live.engine_mut().is_empty() {
             Vec::new()
         } else {
             self.store
@@ -793,13 +780,8 @@ impl Platform {
             self.store.insert(&triple, self.ugc_graph)?;
             added.push(triple);
         }
-        self.live.on_commit(
-            self.store.store(),
-            Some(&self.album_cache),
-            &added,
-            &removed,
-            None,
-        );
+        self.live
+            .on_commit(self.store.store(), &added, &removed, None);
         Ok(())
     }
 
@@ -1081,53 +1063,28 @@ impl Platform {
         self.admission.as_ref()
     }
 
-    /// Serves a virtual album through the materialized-album cache:
-    /// a fresh cached answer is returned without touching the SPARQL
-    /// engine; stale or cold albums are solved and admitted. Because
-    /// WAL recovery replays `Store::insert`/`remove`, store epochs —
-    /// and with them cache validity — repopulate correctly on reboot.
-    ///
-    /// Cold/stale solves run through [`Self::query`], so album misses
-    /// use the plan cache and show up in the `sparql.parse` /
-    /// `sparql.eval` histograms and the slow-query log like any other
-    /// query.
+    /// Serves a virtual album from the standing-query engine: the
+    /// first view of a spec solves and registers it, every later view
+    /// reads the links the engine maintains across commits (see
+    /// [`LiveService::view`]). A spec with a radius outside
+    /// `(0, MAX_RADIUS_KM]` or a malformed language tag is
+    /// [`PlatformError::Invalid`].
     pub fn view_album(&self, spec: &AlbumSpec) -> Result<Vec<String>, PlatformError> {
         let span = self.obs.tracer().start("album.view");
-        // A cold solve's `sparql` span nests under the view.
-        let entered = span.enter();
-        let (outcome, out) = self
-            .album_cache
-            .view_with(self.store.store(), spec, |spec| {
-                let results = self.query(&spec.to_sparql())?;
-                Ok(results
-                    .column("link")
-                    .into_iter()
-                    .map(|t| t.lexical().to_string())
-                    .collect())
-            });
-        drop(entered);
+        let links = self.live.view(self.store.store(), spec);
         span.finish();
-        // What this call did — the cache's own counters are shared by
-        // every web worker, so a before/after delta would also count
-        // the views that overlapped this one.
-        let metrics = self.obs.metrics();
-        metrics.add("album.cache.hits", u64::from(outcome == ViewOutcome::Hit));
-        metrics.add("album.cache.misses", u64::from(outcome != ViewOutcome::Hit));
-        metrics.add(
-            "album.cache.invalidations",
-            u64::from(outcome == ViewOutcome::Stale),
-        );
-        out
+        links
     }
 
-    /// The materialized-album cache (counters, manual clear).
-    pub fn album_cache(&self) -> &AlbumCache {
-        &self.album_cache
+    /// The album cache: the live service, whose engine materialises
+    /// every viewed album (counters, manual clear).
+    pub fn album_cache(&self) -> &LiveService {
+        &self.live
     }
 
     /// Album-cache counter snapshot (for [`crate::metrics`]).
     pub fn album_cache_stats(&self) -> AlbumCacheStats {
-        self.album_cache.stats()
+        self.live.cache_stats()
     }
 
     /// The semantic-resolution cache shared with the broker (counters,
@@ -1147,6 +1104,7 @@ impl Platform {
     /// or a federation wire those in via
     /// [`crate::metrics::OpsSnapshot::collect`] directly.
     pub fn ops_snapshot(&self) -> crate::metrics::OpsSnapshot {
+        let live = self.live.ops();
         crate::metrics::OpsSnapshot::collect(
             self.annotator.broker(),
             crate::metrics::OpsSources {
@@ -1161,8 +1119,7 @@ impl Platform {
                 durability: self.durability(),
                 album_cache: Some(self.album_cache_stats()),
                 semantic_cache: Some(self.semantic_cache_stats()),
-                live: (!self.live.engine().is_empty() || !self.live.hub().is_empty())
-                    .then(|| self.live.ops()),
+                live: (live.albums > 0 || !self.live.hub().is_empty()).then_some(live),
                 plan_cache: Some(self.plan_cache_stats()),
                 admission: self.admission.as_ref().map(|a| a.ops()),
                 ..Default::default()
@@ -1170,12 +1127,11 @@ impl Platform {
         )
     }
 
-    /// Registers a standing live-album query: from now on every commit
-    /// maintains its materialized answer differentially (and keeps the
-    /// album cache patched), instead of invalidating it.
+    /// Registers a standing live-album query, pinned: from now on every
+    /// commit maintains its materialized answer differentially, views
+    /// of the same spec read it, and clearing the album cache keeps it.
     pub fn live_register(&mut self, spec: &AlbumSpec) -> LiveAlbumId {
-        self.live
-            .register(self.store.store(), spec, Some(&self.album_cache))
+        self.live.register(self.store.store(), spec)
     }
 
     /// Subscribes a callback to a registered live album's diff stream
@@ -1197,11 +1153,10 @@ impl Platform {
     }
 
     /// Rebuilds all standing-query state from the (recovered) store
-    /// and re-seeds the album cache — the crash-recovery counterpart
-    /// to WAL replay for the live subsystem.
+    /// — the crash-recovery counterpart to WAL replay for the live
+    /// subsystem, and with it for the album cache.
     pub fn live_rebuild(&mut self) {
-        self.live
-            .rebuild(self.store.store(), Some(&self.album_cache));
+        self.live.rebuild(self.store.store());
     }
 
     /// Switches the platform into emission-producing mode: every
@@ -1261,8 +1216,8 @@ impl Platform {
         if let Some(outbox) = &self.outbox {
             metrics.set_gauge("replication.outbox.lag", outbox.lag());
         }
-        if !self.live.engine().is_empty() {
-            let live = self.live.ops();
+        let live = self.live.ops();
+        if live.albums > 0 {
             metrics.set_gauge("live.albums", live.albums as u64);
             metrics.set_gauge("live.push.subscribers", live.push.subscribers as u64);
             metrics.set_gauge("live.push.lag", live.push.lag);
@@ -1409,11 +1364,12 @@ mod tests {
         let cold = p.view_album(&spec).unwrap();
         let warm = p.view_album(&spec).unwrap();
         assert_eq!(cold, warm);
+        assert_eq!(cold, spec.execute(p.store()).unwrap());
         let stats = p.album_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
 
         // An upload semanticizes new picture triples (rdf:type,
-        // comm:image-data, geo:geometry, …) — the cache must notice.
+        // comm:image-data, geo:geometry, …) — the album must notice.
         let gaz = Gazetteer::global();
         let mole = gaz.poi("Mole_Antonelliana").unwrap();
         let receipt = p
@@ -1433,9 +1389,70 @@ mod tests {
                 .any(|l| l.contains(&format!("media/{}.jpg", receipt.pid))),
             "the cached album refreshed to include the new upload"
         );
+        assert_eq!(refreshed, spec.execute(p.store()).unwrap());
         let stats = p.album_cache_stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.misses, 2);
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (2, 1),
+            "the commit patched the album, so the view after it is a hit"
+        );
+    }
+
+    /// Views keep at most `VIEWED_ALBUMS_CAP` albums; one past the cap
+    /// is still answered. `clear()` drops what views installed and
+    /// keeps pinned albums, whose subscribers go on converging.
+    #[test]
+    fn viewed_albums_are_capped_and_clear_keeps_pinned_albums() {
+        use crate::live::VIEWED_ALBUMS_CAP;
+
+        let mut p = small_platform();
+        let spec =
+            |i: usize| AlbumSpec::near_monument("Mole Antonelliana", "it", 0.2 + i as f64 * 1e-4);
+        for i in 0..VIEWED_ALBUMS_CAP {
+            p.view_album(&spec(i)).unwrap();
+        }
+        let extra = spec(VIEWED_ALBUMS_CAP);
+        assert_eq!(
+            p.view_album(&extra).unwrap(),
+            extra.execute(p.store()).unwrap()
+        );
+        let stats = p.album_cache_stats();
+        assert_eq!(stats.entries, VIEWED_ALBUMS_CAP);
+        assert_eq!(stats.misses, VIEWED_ALBUMS_CAP as u64 + 1);
+        p.view_album(&extra).unwrap();
+        assert_eq!(p.album_cache_stats().misses, VIEWED_ALBUMS_CAP as u64 + 2);
+
+        let pinned = AlbumSpec::near_monument("Mole Antonelliana", "it", 0.5);
+        let album = p.live_register(&pinned);
+        let sub = p.live_subscribe("http://frame.local/push", album);
+        p.album_cache().clear();
+        assert_eq!(p.album_cache_stats().entries, 1);
+        assert_eq!(
+            p.live().engine().links(album),
+            pinned.execute(p.store()).unwrap()
+        );
+
+        let gaz = Gazetteer::global();
+        let mole = gaz.poi("Mole_Antonelliana").unwrap();
+        let receipt = p
+            .upload(Upload {
+                user_id: 1,
+                title: "Davanti alla Mole".into(),
+                tags: vec!["torino".into()],
+                ts: 7,
+                gps: Some(mole.point(gaz)),
+                poi: None,
+            })
+            .unwrap();
+        let fresh = pinned.execute(p.store()).unwrap();
+        assert!(fresh
+            .iter()
+            .any(|l| l.contains(&format!("media/{}.jpg", receipt.pid))));
+        assert_eq!(p.live().engine().links(album), fresh);
+        assert_eq!(p.live().hub().subscriber(sub).unwrap().links(), fresh);
+        let hits = p.album_cache_stats().hits;
+        assert_eq!(p.view_album(&pinned).unwrap(), fresh);
+        assert_eq!(p.album_cache_stats().hits, hits + 1);
     }
 
     #[test]

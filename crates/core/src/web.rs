@@ -269,15 +269,15 @@ pub fn route(platform: &Platform, request: &Request) -> Response {
                 .get("lang")
                 .map(String::as_str)
                 .unwrap_or("it");
-            let radius: f64 = request
-                .query
-                .get("radius")
-                .and_then(|r| r.parse().ok())
-                .unwrap_or(0.3);
+            let radius = match request.query.get("radius").map(|r| r.parse::<f64>()) {
+                None => 0.3,
+                Some(Ok(radius)) => radius,
+                Some(Err(_)) => return Response::bad_request("malformed radius"),
+            };
             let spec = crate::albums::AlbumSpec::near_monument(monument, lang, radius);
-            // Served through the materialized-album cache: repeated
-            // hits on the same spec skip SPARQL evaluation entirely
-            // until a relevant store mutation bumps a predicate epoch.
+            // Served from the standing-query engine: the first view of
+            // a spec registers it, later ones read the maintained links.
+            // An out-of-range radius or a malformed lang is a 400.
             match platform.view_album(&spec) {
                 Ok(links) => Response::html(render_album(monument, &links)),
                 Err(e) => Response::bad_request(&e.to_string()),
@@ -617,7 +617,7 @@ fn render_subscriptions(platform: &Platform) -> String {
     let engine = live.engine();
     let mut out = String::new();
     let _ = writeln!(out, "live albums ({}):", engine.len());
-    for id in 0..engine.len() {
+    for id in engine.ids() {
         let spec = engine.spec(id);
         let mut shape = format!("\"{}\"@{}", spec.monument_label, spec.label_lang);
         if let Some(friend) = &spec.friend_of {
@@ -635,6 +635,8 @@ fn render_subscriptions(platform: &Platform) -> String {
             engine.links(id).len()
         );
     }
+    // Released before `live.ops()` takes the read lock again.
+    drop(engine);
     let hub = live.hub();
     let _ = writeln!(out, "subscribers ({}):", hub.len());
     for (callback, album, head, shipped, cursor, breaker) in hub.rows() {
@@ -1471,6 +1473,34 @@ mod tests {
         assert_eq!(stats.misses, 1, "first request solves the album");
         assert_eq!(stats.hits, 1, "second request is a cache hit");
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn album_route_rejects_radii_and_language_tags_it_cannot_serve() {
+        let p = platform();
+        for query in [
+            "radius=NaN",
+            "radius=inf",
+            "radius=-inf",
+            "radius=1e300",
+            "radius=0",
+            "radius=-0.3",
+            "radius=20.5",
+            "radius=far",
+            "lang=it%20x",
+            "lang=",
+            "lang=1t",
+        ] {
+            let target = format!("/album?monument=Mole+Antonelliana&{query}");
+            assert_eq!(get(&p, &target, false).status, 400, "{target}");
+        }
+        assert_eq!(
+            p.album_cache_stats().entries,
+            0,
+            "nothing reached the engine"
+        );
+        let edge = "/album?monument=Mole+Antonelliana&lang=IT&radius=20";
+        assert_eq!(get(&p, edge, false).status, 200);
     }
 
     #[test]

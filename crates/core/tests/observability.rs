@@ -78,11 +78,11 @@ fn metrics_cover_every_pipeline_layer() {
         "lodify_upload_context_seconds_count 1",
         "lodify_upload_annotate_seconds_count 1",
         "lodify_upload_record_seconds_count 1",
-        // SPARQL execution: the explicit query plus the /album cache
-        // miss, whose solve routes through the instrumented path too
-        "lodify_sparql_queries_total 2",
-        "lodify_sparql_parse_seconds_count 2",
-        "lodify_sparql_eval_seconds_count 2",
+        // SPARQL execution: the explicit query only — the /album miss
+        // is solved by the standing-query engine, not by SPARQL
+        "lodify_sparql_queries_total 1",
+        "lodify_sparql_parse_seconds_count 1",
+        "lodify_sparql_eval_seconds_count 1",
         // durability: the upload journals records, flush_store forces
         // the barrier, and the gauge refresh publishes WAL depth
         "lodify_wal_flush_seconds_count",
@@ -124,9 +124,10 @@ fn metrics_cover_every_pipeline_layer() {
     assert!(log.windows(2).all(|w| w[0].request_id < w[1].request_id));
 }
 
-/// Repeated queries and album views go through the plan cache, not
-/// around it: answers repeat exactly, the repeats are hits, and the
-/// registry counts the same hits the cache does.
+/// Repeated queries go through the plan cache, not around it: answers
+/// repeat exactly, the repeats are hits, and the registry counts the
+/// same hits the cache does. Album views are served by the
+/// standing-query engine, so they leave the plan cache alone.
 #[test]
 fn repeated_album_queries_hit_the_plan_cache() {
     use lodify_core::albums::AlbumSpec;
@@ -145,16 +146,18 @@ fn repeated_album_queries_hit_the_plan_cache() {
         let first = platform.query(query).unwrap().to_table();
         assert_eq!(platform.query(query).unwrap().to_table(), first);
     }
+    let stats = platform.plan_cache_stats();
+    assert!(stats.hits >= 2 && stats.misses >= 2, "{stats:?}");
+    let metrics = platform.obs().metrics();
+    assert_eq!(metrics.counter("sparql.plan.hits"), stats.hits);
+    assert!(metrics.counter("sparql.queries") >= 4);
+
     let wider = AlbumSpec::near_monument("Mole Antonelliana", "it", 2.0);
     let view = platform.view_album(&wider).unwrap();
     assert_eq!(platform.view_album(&wider).unwrap(), view);
+    assert_eq!(view, wider.execute(platform.store()).unwrap());
     platform.view_album(&album).unwrap();
-
-    let stats = platform.plan_cache_stats();
-    assert!(stats.hits >= 3 && stats.misses >= 2, "{stats:?}");
-    let metrics = platform.obs().metrics();
-    assert_eq!(metrics.counter("sparql.plan.hits"), stats.hits);
-    assert!(metrics.counter("sparql.queries") >= 6);
+    assert_eq!(platform.plan_cache_stats(), stats);
     assert!(!platform.obs().tracer().recent_spans(8).is_empty());
     assert!(!platform.obs().slow_queries().is_empty());
 }
@@ -192,8 +195,4 @@ fn concurrent_album_views_count_each_view_once() {
     );
     assert_eq!(metrics.counter("album.cache.hits"), stats.hits);
     assert_eq!(metrics.counter("album.cache.misses"), stats.misses);
-    assert_eq!(
-        metrics.counter("album.cache.invalidations"),
-        stats.invalidations
-    );
 }

@@ -906,12 +906,10 @@ mod tests {
 
     #[test]
     fn recovery_repopulates_store_mutation_epochs() {
-        // The materialized-album cache keys freshness on per-predicate
-        // store epochs. Recovery replays the WAL through
-        // `Store::insert`/`Store::remove`, so a revived store must
-        // carry non-zero epochs for every journaled predicate —
-        // otherwise a pre-crash cache fingerprint would wrongly read
-        // as fresh after reboot.
+        // Recovery replays the WAL through `Store::insert` /
+        // `Store::remove`, so a revived store's epoch has advanced past
+        // zero: an epoch-keyed cache cannot read a pre-crash entry as
+        // fresh after reboot.
         let mem = MemStorage::new();
         let (mut engine, _) = open_mem(&mem);
         let g = engine.graph("urn:g:ugc");
@@ -924,29 +922,10 @@ mod tests {
         mem.crash();
         let (recovered, report) = open_mem(&mem);
         assert!(report.recovered);
-        let store = recovered.store();
-        assert!(store.epoch() > 0, "global epoch advances during replay");
-        for predicate in [
-            "http://www.w3.org/2000/01/rdf-schema#label",
-            "http://www.opengis.net/ont/geosparql#geometry",
-        ] {
-            let id = store
-                .id_of(&Term::iri(predicate).unwrap())
-                .expect("replayed predicate is interned");
-            assert!(
-                store.predicate_epoch(id) > 0,
-                "{predicate} must have a replay epoch"
-            );
-        }
-        // The replayed remove is the newest label mutation, so the
-        // label predicate's epoch is the most recent of the two.
-        let label_id = store
-            .id_of(&Term::iri("http://www.w3.org/2000/01/rdf-schema#label").unwrap())
-            .unwrap();
-        let geo_id = store
-            .id_of(&Term::iri("http://www.opengis.net/ont/geosparql#geometry").unwrap())
-            .unwrap();
-        assert!(store.predicate_epoch(label_id) > store.predicate_epoch(geo_id));
+        assert!(
+            recovered.store().epoch() > 0,
+            "global epoch advances during replay"
+        );
     }
 
     #[test]

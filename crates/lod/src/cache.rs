@@ -9,9 +9,8 @@
 //! gathered for one `(lowercased term, lang)` pair — so repeated terms
 //! skip every resolver call.
 //!
-//! Staleness is governed the same way as the materialized-album cache
-//! in the core crate: every entry remembers the [`lodify_store::Store`]
-//! mutation epoch it was resolved against, and a lookup only hits when
+//! Staleness is governed by the store's epoch: every entry remembers
+//! the [`lodify_store::Store`] mutation epoch it was resolved against, and a lookup only hits when
 //! that epoch still matches. Any store mutation — a fresh LOD snapshot
 //! load, an upload's semanticization, a recorded annotation — bumps the
 //! epoch and implicitly invalidates every cached candidate set, so the

@@ -62,9 +62,8 @@ impl StoreSnapshot {
     }
 
     /// The mutation epoch this snapshot was pinned at. Equal epochs
-    /// guarantee byte-identical answers — the invariant every cache in
-    /// the workspace (album cache, semantic cache, live engine) keys
-    /// on.
+    /// guarantee byte-identical answers — the invariant the epoch-keyed
+    /// caches in the workspace (semantic cache, plan cache) key on.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -70,7 +70,6 @@ pub struct Store {
     stats: Arc<Stats>,
     geo_geometry: TermId,
     epoch: u64,
-    predicate_epochs: Arc<HashMap<TermId, u64>>,
 }
 
 impl Default for Store {
@@ -100,7 +99,6 @@ impl Store {
             stats: Arc::new(Stats::new()),
             geo_geometry,
             epoch: 0,
-            predicate_epochs: Arc::default(),
         };
         store.graph(DEFAULT_GRAPH);
         store
@@ -196,7 +194,7 @@ impl Store {
             shard.pos.insert((p, o, s));
             shard.osp.insert((o, s, p));
         }
-        self.bump_epoch(p);
+        self.epoch += 1;
 
         let oi = self.object_index(o);
         let new_object = Arc::make_mut(&mut self.objects[oi]).insert(o);
@@ -243,7 +241,7 @@ impl Store {
             shard.pos.remove(&(p, o, s));
             shard.osp.remove(&(o, s, p));
         }
-        self.bump_epoch(p);
+        self.epoch += 1;
 
         // Keep join-ordering statistics exact under deletes: a term
         // leaves the distinct-subject/object population only when its
@@ -378,29 +376,12 @@ impl Store {
         &self.stats
     }
 
-    /// Advances the mutation epoch after a successful insert/remove of
-    /// a statement with predicate `p`. Because WAL recovery rebuilds a
-    /// store by replaying `insert`/`remove`, epochs repopulate on boot
-    /// without any journal support.
-    fn bump_epoch(&mut self, p: TermId) {
-        self.epoch += 1;
-        Arc::make_mut(&mut self.predicate_epochs).insert(p, self.epoch);
-    }
-
     /// Monotone mutation counter: increments on every *successful*
     /// [`Store::insert`] or [`Store::remove`]. Cached query results are
-    /// keyed by this value — equal epochs guarantee equal answers.
+    /// keyed by this value — equal epochs guarantee equal answers. WAL
+    /// recovery replays `insert`/`remove`, so it advances on boot too.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The epoch of the last mutation touching predicate `p` (0 when
-    /// the predicate never appeared). A query reading only predicates
-    /// `P` stays valid while `max(predicate_epoch(p) for p in P)` is
-    /// unchanged — the incremental-invalidation rule used by the
-    /// materialized album cache.
-    pub fn predicate_epoch(&self, p: TermId) -> u64 {
-        self.predicate_epochs.get(&p).copied().unwrap_or(0)
     }
 
     /// Matches a triple pattern over ids; `None` positions are
@@ -829,27 +810,6 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         assert!(store.remove(&t));
         assert_eq!(store.epoch(), 2);
-    }
-
-    #[test]
-    fn predicate_epochs_track_per_predicate_mutations() {
-        let mut store = Store::new();
-        let g = store.default_graph();
-        let ta = triple("http://s", "http://p/a", Term::literal("1"));
-        let tb = triple("http://s", "http://p/b", Term::literal("2"));
-        store.insert(&ta, g);
-        store.insert(&tb, g);
-        let pa = store.id_of(&Term::iri_unchecked("http://p/a")).unwrap();
-        let pb = store.id_of(&Term::iri_unchecked("http://p/b")).unwrap();
-        assert_eq!(store.predicate_epoch(pa), 1);
-        assert_eq!(store.predicate_epoch(pb), 2);
-        // A mutation under predicate b leaves a's epoch untouched.
-        store.remove(&tb);
-        assert_eq!(store.predicate_epoch(pa), 1);
-        assert_eq!(store.predicate_epoch(pb), 3);
-        // Unknown predicates report epoch 0.
-        let absent = store.id_of(&Term::iri_unchecked("http://s")).unwrap();
-        assert_eq!(store.predicate_epoch(absent), 0);
     }
 
     #[test]

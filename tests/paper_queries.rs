@@ -260,10 +260,10 @@ fn crash_recovery_preserves_every_paper_query_answer() {
     );
 }
 
-/// Album-cache tentpole across the durability boundary: WAL replay
-/// flows through `Store::insert`/`Store::remove`, so a recovered
-/// store carries live mutation epochs and the revived platform's view
-/// cache caches, hits, and invalidates exactly as before the crash.
+/// The album cache across the durability boundary: the revived
+/// platform solves an album from the recovered store, serves repeats
+/// as hits, and an upload on it is patched into the album, so the view
+/// after it is a hit as well.
 #[test]
 fn album_cache_invalidates_correctly_after_crash_recovery() {
     use lodify::core::albums::AlbumSpec;
@@ -309,13 +309,14 @@ fn album_cache_invalidates_correctly_after_crash_recovery() {
 
     // Cold solve on the revived platform matches the pre-crash view,
     // and a repeat is a pure hit.
-    assert_eq!(revived.view_album(&spec).unwrap(), before);
+    assert_eq!(
+        views_against_execute(&revived, std::slice::from_ref(&spec), "recovered"),
+        1
+    );
     assert_eq!(revived.view_album(&spec).unwrap(), before);
     let stats = revived.album_cache_stats();
     assert_eq!((stats.misses, stats.hits), (1, 1));
 
-    // A relevant mutation on the recovered store must bump replayed
-    // epochs further and invalidate — the view picks up the upload.
     let receipt = revived
         .upload(Upload {
             user_id: 3,
@@ -326,6 +327,10 @@ fn album_cache_invalidates_correctly_after_crash_recovery() {
             poi: None,
         })
         .unwrap();
+    assert_eq!(
+        views_against_execute(&revived, std::slice::from_ref(&spec), "upload"),
+        0
+    );
     let refreshed = revived.view_album(&spec).unwrap();
     assert!(
         refreshed
@@ -333,5 +338,112 @@ fn album_cache_invalidates_correctly_after_crash_recovery() {
             .any(|l| l.contains(&format!("media/{}.jpg", receipt.pid))),
         "post-recovery upload must appear in the refreshed album"
     );
-    assert_eq!(revived.album_cache_stats().invalidations, 1);
+    assert_eq!(revived.album_cache_stats().misses, 1);
+}
+
+/// Views `specs` and asserts each equals [`AlbumSpec::execute`] over
+/// the platform's store. Returns how many of the views were misses.
+fn views_against_execute(
+    p: &Platform,
+    specs: &[lodify::core::albums::AlbumSpec],
+    stage: &str,
+) -> u64 {
+    let misses = p.album_cache_stats().misses;
+    for spec in specs {
+        assert_eq!(
+            p.view_album(spec).unwrap(),
+            spec.execute(p.store()).unwrap(),
+            "after {stage}: {}",
+            spec.to_sparql()
+        );
+    }
+    p.album_cache_stats().misses - misses
+}
+
+/// The one-materialisation oracle: for every gazetteer sight, radii
+/// 0.3/0.5/2.0 km and the shapes Q1, Q2, Q3 and Q1 `LIMIT 3`, a view
+/// equals the reference query after every commit path — upload, an
+/// ingest batch, a rating, a legacy annotation — and after durable
+/// crash recovery plus `live_rebuild`. Views after a commit are hits.
+#[test]
+fn album_views_equal_execute_after_every_commit_path() {
+    use lodify::core::albums::AlbumSpec;
+    use lodify::core::IngestPool;
+    use lodify::durability::{DurabilityOptions, MemStorage};
+
+    let config = WorkloadConfig {
+        seed: 99,
+        users: 20,
+        pictures: 250,
+        ..WorkloadConfig::default()
+    };
+    let mem = MemStorage::new();
+    let (mut p, _) = Platform::bootstrap_durable(
+        config.clone(),
+        Box::new(mem.clone()),
+        DurabilityOptions::default(),
+    )
+    .unwrap();
+    let gaz = Gazetteer::global();
+    let friend = p
+        .db()
+        .table(lodify::relational::coppermine::USERS)
+        .unwrap()
+        .get(1)
+        .and_then(|row| row[1].as_text().map(str::to_string))
+        .unwrap();
+    let sights: Vec<_> = gaz
+        .pois()
+        .iter()
+        .filter(|poi| !poi.category.is_commercial())
+        .collect();
+    let mut specs = Vec::new();
+    for poi in &sights {
+        for radius in [0.3, 0.5, 2.0] {
+            let q1 = AlbumSpec::near_monument(poi.name, "it", radius);
+            specs.push(q1.clone().friends_of(&friend));
+            specs.push(q1.clone().rated());
+            specs.push(q1.clone().limit(3));
+            specs.push(q1);
+        }
+    }
+    let near = |poi: usize, user_id: i64, ts: i64| Upload {
+        user_id,
+        title: format!("Vista {ts}"),
+        tags: vec!["torino".into()],
+        ts,
+        gps: Some(sights[poi].point(gaz).offset_km(0.1, 0.0)),
+        poi: None,
+    };
+    let all = specs.len() as u64;
+    assert_eq!(views_against_execute(&p, &specs, "bootstrap"), all);
+
+    let receipt = p.upload(near(0, 2, 5)).unwrap();
+    assert_eq!(views_against_execute(&p, &specs, "upload"), 0);
+
+    let report = IngestPool::new(2).ingest(&mut p, vec![near(1, 3, 6), near(0, 4, 7)]);
+    assert!(report.is_clean());
+    assert_eq!(views_against_execute(&p, &specs, "an ingest batch"), 0);
+
+    p.rate(receipt.pid, 3, 5).unwrap();
+    assert_eq!(views_against_execute(&p, &specs, "rate"), 0);
+
+    p.annotate_legacy(p.picture_ids()[0]).unwrap();
+    assert_eq!(views_against_execute(&p, &specs, "annotate_legacy"), 0);
+
+    p.flush_store().unwrap();
+    drop(p);
+    mem.crash();
+    let (mut revived, report) =
+        Platform::bootstrap_durable(config, Box::new(mem.clone()), DurabilityOptions::default())
+            .unwrap();
+    assert!(report.recovered);
+    assert_eq!(views_against_execute(&revived, &specs, "recovery"), all);
+    revived.live_rebuild();
+    assert_eq!(views_against_execute(&revived, &specs, "live_rebuild"), 0);
+    revived.upload(near(0, 5, 8)).unwrap();
+    assert_eq!(
+        views_against_execute(&revived, &specs, "a recovered upload"),
+        0
+    );
 }
