@@ -28,10 +28,9 @@
 //!   store ([`Platform::store_snapshot`]). The only graph a commit
 //!   grows is the UGC graph, and [`lodify_lod::SemanticFilter`]
 //!   discards every UGC-graph candidate before any other rule runs,
-//!   so the *chosen* annotations cannot observe whether earlier batch
-//!   items have committed yet. (Diagnostic counters such as
-//!   `candidates_considered` may differ; they never reach receipts or
-//!   the store.)
+//!   and `candidates_considered` leaves those candidates out, so the
+//!   whole annotation result — which the commit's WAL record carries —
+//!   cannot observe whether earlier batch items have committed yet.
 //!
 //! The identity is asserted by tests in `crates/core/tests/ingest.rs`,
 //! down to WAL bytes and crash recovery; the ledger's `mixed_rw`

@@ -6,6 +6,9 @@
 //!   tags + triple tags), the §2.1 semanticization (D2R dump → triple
 //!   store) and the §2.2 automatic semantic annotation of every new
 //!   content item;
+//! * [`commit`] — the platform delta: what one commit changes outside
+//!   the triple store, carried in the commit's one WAL record and
+//!   replayed through the live apply path on recovery;
 //! * [`deferred`] — the client's deferred-upload queue ("to overcome
 //!   problems of limited connectivity and battery management", §1.1);
 //! * [`albums`] — semantic virtual albums (§2.3): the Q1/Q2/Q3 query
@@ -51,6 +54,7 @@
 pub mod admission;
 pub mod albums;
 pub mod batch;
+pub mod commit;
 pub mod deferred;
 pub mod error;
 pub mod federation;

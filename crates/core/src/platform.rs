@@ -8,13 +8,14 @@ use lodify_context::{ContextPlatform, ContextSnapshot};
 use lodify_d2r::defaults::coppermine_mapping;
 use lodify_d2r::{dump, Mapping};
 use lodify_durability::{
-    DurabilityOptions, DurabilityStats, DurableStore, GroupCommitPolicy, RecoveryReport, Storage,
+    Delta, DurabilityOptions, DurabilityStats, DurableStore, GroupCommitPolicy, RecoveryReport,
+    Storage,
 };
 use lodify_lod::annotator::{Annotator, ContentInput, PoiRefInput};
 use lodify_lod::cache::{SemanticCache, SemanticCacheStats};
 use lodify_lod::datasets::{load_lod, GRAPH_UGC};
 use lodify_lod::AnnotationResult;
-use lodify_obs::Obs;
+use lodify_obs::{Obs, Span};
 use lodify_rdf::{ns, Iri, Point, Term, Triple};
 use lodify_relational::workload::{generate, PictureTruth, WorkloadConfig};
 use lodify_relational::{coppermine as cpg, Database, SqlValue};
@@ -24,6 +25,7 @@ use lodify_tripletags::context_tags::tags_for;
 use lodify_tripletags::{Tag, TagIndex, TripleTag};
 
 use crate::albums::AlbumSpec;
+use crate::commit::{PlatformDelta, Provenance};
 use crate::error::PlatformError;
 use crate::federation::Acct;
 use crate::live::{AlbumCacheStats, LiveAlbumId, LiveService, SubscriberId};
@@ -152,13 +154,10 @@ pub struct Platform {
     tags: TagIndex,
     annotations: BTreeMap<i64, AnnotationResult>,
     truth: Vec<PictureTruth>,
-    next_pid: i64,
-    next_vote: i64,
-    next_poi_ref: i64,
     fault_plan: Option<FaultPlan>,
     semantic_cache: Arc<SemanticCache>,
     obs: Obs,
-    outbox: Option<EmissionOutbox>,
+    outbox: EmissionOutbox,
     live: LiveService,
     cardinality: lodify_sparql::CardinalityProfile,
     plan_cache: lodify_sparql::PlanCache,
@@ -185,12 +184,15 @@ impl Platform {
     /// seed store is *adopted* (written as the initial snapshot
     /// generation); on later boots the store — triple indexes,
     /// fulltext, geo, stats — is **recovered** from the journal to the
-    /// last acknowledged state instead of being rebuilt, and the
-    /// [`RecoveryReport`] says what was replayed. The relational base,
-    /// context platform and tag index are deterministic functions of
-    /// the workload config and are re-derived on every boot; the
-    /// journal covers the semantic store, where all post-bootstrap
-    /// platform state (uploads, annotations, votes) lands.
+    /// last acknowledged commit instead of being rebuilt, and the
+    /// [`RecoveryReport`] says what was replayed. The *seed* relational
+    /// base, context platform and tag index are deterministic functions
+    /// of the workload config and are re-derived on every boot; every
+    /// commit since (uploads, ratings, legacy annotations) then replays
+    /// from its WAL record's platform delta through the same
+    /// `apply` the live commit ran — rows, tags, annotation results,
+    /// last-seen positions and emission sequence numbers — so a restart
+    /// serves exactly what the crashed process had acknowledged.
     pub fn bootstrap_durable(
         config: WorkloadConfig,
         storage: Box<dyn Storage>,
@@ -218,7 +220,7 @@ impl Platform {
 
         // Hand the seed store to the persistence layer; a recovery
         // replaces it wholesale with the journaled one.
-        let (mut store, report) = persist(store)?;
+        let (mut store, mut report) = persist(store)?;
         let ugc_graph = store.graph(GRAPH_UGC);
 
         // Context platform from relational state.
@@ -249,24 +251,6 @@ impl Platform {
             }
         }
 
-        let next_pid = pictures.scan().map(|(pid, _)| pid).max().unwrap_or(0) + 1;
-        let next_vote = workload
-            .db
-            .table(cpg::VOTES)?
-            .scan()
-            .map(|(id, _)| id)
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let next_poi_ref = workload
-            .db
-            .table(cpg::POI_REFS)?
-            .scan()
-            .map(|(id, _)| id)
-            .max()
-            .unwrap_or(0)
-            + 1;
-
         let mut platform = Platform {
             db: workload.db,
             store,
@@ -277,13 +261,10 @@ impl Platform {
             tags: TagIndex::new(),
             annotations: BTreeMap::new(),
             truth: workload.truth,
-            next_pid,
-            next_vote,
-            next_poi_ref,
             fault_plan: None,
             semantic_cache: Arc::new(SemanticCache::new()),
             obs: Obs::new(),
-            outbox: None,
+            outbox: EmissionOutbox::default(),
             live: LiveService::new(),
             cardinality: lodify_sparql::CardinalityProfile::new(),
             plan_cache: lodify_sparql::PlanCache::new(),
@@ -291,6 +272,17 @@ impl Platform {
         };
         platform.wire_observability();
         platform.rebuild_tag_index()?;
+        // Everything committed since the seed, in commit order, through
+        // the live apply path; the store already holds its triples.
+        for commit in std::mem::take(&mut report.commits) {
+            let delta = PlatformDelta::decode(&commit.meta)?;
+            let emission = delta.emission.clone();
+            platform.apply(delta)?;
+            if let Some(provenance) = &emission {
+                platform.emit(provenance, commit.delta.as_ref());
+            }
+        }
+        platform.store.hold_compaction(platform.outbox.lag() > 0);
         Ok((platform, report))
     }
 
@@ -328,22 +320,122 @@ impl Platform {
         let mut index = TagIndex::new();
         let pictures = self.db.table(cpg::PICTURES)?;
         for (pid, row) in pictures.scan() {
-            for keyword in row[4].as_text().unwrap_or_default().split_whitespace() {
-                index.insert(pid, Tag::Plain(keyword.to_string()));
-            }
-            let owner = row[2].as_int().unwrap_or(0) as u64;
+            let (owner, gps) = picture_owner_and_gps(row);
             let ts = row[5].as_int().unwrap_or(0);
-            let gps = match (row[6].as_real(), row[7].as_real()) {
-                (Some(lon), Some(lat)) => Point::new(lon, lat).ok(),
-                _ => None,
-            };
             let snapshot = self.context.contextualize(owner, ts, gps);
-            for tag in tags_for(&snapshot) {
-                index.insert(pid, Tag::Triple(tag));
-            }
+            index_picture(&mut index, pid, row, tags_for(&snapshot));
         }
         self.tags = index;
         Ok(())
+    }
+
+    /// **The one apply path** for what a commit changes outside the
+    /// triple store: inserts its rows (a duplicate key fails here,
+    /// before any store write), indexes a new picture's keywords and
+    /// context tags, moves its owner's last-seen position, and records
+    /// the annotation result. The live commit runs it ahead of the
+    /// commit's store write; recovery runs it over every recovered
+    /// commit's delta, with no store write at all.
+    fn apply(&mut self, delta: PlatformDelta) -> Result<(), PlatformError> {
+        let mut context_tags = delta
+            .context_tags
+            .iter()
+            .map(|wire| TripleTag::parse(wire))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| PlatformError::Invalid(format!("context tag: {e}")))?;
+        for (table, row) in delta.rows {
+            let key = self.db.insert(&table, row)?;
+            if table != cpg::PICTURES {
+                continue;
+            }
+            if let Some(row) = self.db.table(cpg::PICTURES)?.get(key) {
+                index_picture(&mut self.tags, key, row, std::mem::take(&mut context_tags));
+                if let (owner, Some(point)) = picture_owner_and_gps(row) {
+                    self.context.buddies_mut().update_position(owner, point);
+                }
+            }
+        }
+        if let Some((pid, result)) = delta.annotation {
+            self.annotations.insert(pid, result);
+        }
+        Ok(())
+    }
+
+    /// The one commit path behind [`Platform::commit_staged`],
+    /// [`Platform::commit_legacy`] and [`Platform::rate`]: applies
+    /// `delta`, then the store delta `semanticize` derives from the
+    /// applied rows — the two together as **one WAL record** — then
+    /// patches live albums and feeds the emission outbox. Returns the
+    /// store delta narrowed to what changed. Under a `root` span the
+    /// stages are traced as `upload.relational`, `upload.semanticize`
+    /// (store delta and its commit) and `upload.record` (live albums
+    /// and outbox). An `Err` from the WAL flush comes back after the
+    /// in-memory bookkeeping: the commit is applied, not yet
+    /// acknowledged.
+    fn commit(
+        &mut self,
+        mut delta: PlatformDelta,
+        semanticize: impl FnOnce(&Platform) -> Result<Delta, PlatformError>,
+        root: Option<&Span>,
+    ) -> Result<Delta, PlatformError> {
+        let trace = root.and_then(Span::context);
+        if self.outbox.origin().is_some() {
+            delta.emission = Some(Provenance {
+                epoch: self.store.store().epoch(),
+                album: None,
+                trace,
+            });
+        }
+        let meta = delta.encode();
+        let emission = delta.emission.clone();
+        let span = root.map(|r| r.child("upload.relational"));
+        self.apply(delta)?;
+        drop(span);
+
+        let span = root.map(|r| r.child("upload.semanticize"));
+        let mut changed = semanticize(self)?;
+        if emission.is_some() {
+            // This commit's emission starts undrained: keep its record
+            // in the WAL tail even if the commit's own flush compacts.
+            self.store.hold_compaction(true);
+        }
+        let durable = self.store.commit(&mut changed, &meta);
+        drop(span);
+
+        let span = root.map(|r| r.child("upload.record"));
+        if !self.live.engine_mut().is_empty() {
+            let added: Vec<Triple> = changed.inserts.iter().map(|(t, _)| t.clone()).collect();
+            self.live
+                .on_commit(self.store.store(), &added, &changed.removes, trace);
+        }
+        if let Some(provenance) = &emission {
+            self.emit(provenance, Some(&changed));
+            self.obs.metrics().incr("replication.emissions");
+        }
+        drop(span);
+        durable?;
+        Ok(changed)
+    }
+
+    /// Records a commit's emission in the outbox — queued when its
+    /// store delta is at hand (a live commit, or one recovered from the
+    /// WAL tail), a spent sequence number otherwise.
+    fn emit(&mut self, provenance: &Provenance, delta: Option<&Delta>) {
+        let store = self.store.store();
+        let body = delta.map(|delta| {
+            let additions = delta.inserts.iter().map(|(triple, graph)| EmissionQuad {
+                triple: triple.clone(),
+                graph: store.graph_name(*graph).map(str::to_string),
+            });
+            (additions.collect(), delta.removes.clone())
+        });
+        let changed = delta.map_or(0, |d| d.inserts.len() + d.removes.len()) as u64;
+        self.outbox.record(
+            provenance.epoch + changed,
+            provenance.album.as_deref(),
+            body,
+            provenance.trace,
+        );
     }
 
     /// The picture resource IRI for a pid.
@@ -483,12 +575,13 @@ impl Platform {
     }
 
     /// **Commit stage.** The only stage that takes exclusive access:
-    /// allocates the pid, inserts the relational rows, semanticizes
-    /// them into the UGC graph (§2.1), indexes the tags and records
-    /// the annotation result. Store writes are ordered exactly as the
-    /// serial path always ordered them (POI triples, picture triples,
+    /// takes the next pid from the picture rows, inserts the relational
+    /// rows, semanticizes them into the UGC graph (§2.1), indexes the
+    /// tags and records the annotation result — all of it one commit,
+    /// one WAL record. Store writes are ordered exactly as the serial
+    /// path always ordered them (POI triples, picture triples,
     /// annotation triples), so batched and sequential ingest journal
-    /// byte-identical WAL streams.
+    /// the same records.
     pub fn commit_staged(
         &mut self,
         staged: StagedUpload,
@@ -503,114 +596,66 @@ impl Platform {
             poi_input: _,
         } = staged;
 
-        let relational = root.map(|r| r.child("upload.relational"));
-        let pid = self.next_pid;
-        self.next_pid += 1;
+        let pid = self.db.table(cpg::PICTURES)?.next_key();
         let (lon, lat) = match upload.gps {
             Some(p) => (SqlValue::Real(p.lon), SqlValue::Real(p.lat)),
             None => (SqlValue::Null, SqlValue::Null),
         };
-        self.db.insert(
-            cpg::PICTURES,
-            vec![
-                pid.into(),
-                aid.into(),
-                upload.user_id.into(),
-                upload.title.clone().into(),
-                upload.tags.join(" ").into(),
-                upload.ts.into(),
-                lon,
-                lat,
-                format!("media/{pid}.jpg").into(),
-            ],
-        )?;
+        let picture = vec![
+            pid.into(),
+            aid.into(),
+            upload.user_id.into(),
+            upload.title.clone().into(),
+            upload.tags.join(" ").into(),
+            upload.ts.into(),
+            lon,
+            lat,
+            format!("media/{pid}.jpg").into(),
+        ];
+        let mut rows = vec![(cpg::PICTURES.to_string(), picture)];
         let mut poi_ref_id = None;
         if let Some((name, category, point)) = &upload.poi {
-            let ref_id = self.next_poi_ref;
-            self.next_poi_ref += 1;
-            self.db.insert(
-                cpg::POI_REFS,
-                vec![
-                    ref_id.into(),
-                    pid.into(),
-                    name.clone().into(),
-                    category.clone().into(),
-                    SqlValue::Real(point.lon),
-                    SqlValue::Real(point.lat),
-                ],
-            )?;
+            let ref_id = self.db.table(cpg::POI_REFS)?.next_key();
+            let poi_ref = vec![
+                ref_id.into(),
+                pid.into(),
+                name.clone().into(),
+                category.clone().into(),
+                SqlValue::Real(point.lon),
+                SqlValue::Real(point.lat),
+            ];
+            rows.push((cpg::POI_REFS.to_string(), poi_ref));
             poi_ref_id = Some(ref_id);
         }
-        if let Some(span) = relational {
-            span.finish();
-        }
-
-        // Incremental semanticization of the new rows (§2.1). The
-        // committed delta is collected whenever a consumer needs it:
-        // the emission outbox (replication) or the standing-query
-        // engine (live albums) — both see exactly what was inserted.
-        let semanticize = root.map(|r| r.child("upload.semanticize"));
-        let track_delta = self.outbox.is_some() || !self.live.engine_mut().is_empty();
-        let mut emitted: Vec<Triple> = Vec::new();
-        if let Some(ref_id) = poi_ref_id {
-            let poi_triples = dump::dump_resource(&self.db, &self.mapping, cpg::POI_REFS, ref_id)?;
-            self.store.insert_all(&poi_triples, self.ugc_graph)?;
-            if track_delta {
-                emitted.extend(poi_triples);
-            }
-        }
-        let triples = dump::dump_resource(&self.db, &self.mapping, cpg::PICTURES, pid)?;
-        let mut triples_added = self.store.insert_all(&triples, self.ugc_graph)?;
-        if track_delta {
-            emitted.extend(triples);
-        }
-        if let Some(span) = semanticize {
-            span.finish();
-        }
-
-        for keyword in &upload.tags {
-            self.tags.insert(pid, Tag::Plain(keyword.clone()));
-        }
-        for tag in &context_tags {
-            self.tags.insert(pid, Tag::Triple(tag.clone()));
-        }
-
-        let record = root.map(|r| r.child("upload.record"));
-        let annotation = Self::annotation_triples(pid, &result);
-        triples_added += self.store.insert_all(&annotation, self.ugc_graph)?;
-        if track_delta {
-            emitted.extend(annotation);
-        }
-        if let Some(span) = record {
-            span.finish();
-        }
-
-        // Maintain live albums from the committed delta before the
-        // outbox consumes it (the engine only borrows the triples).
-        let trace = root.and_then(|r| r.context());
-        self.live
-            .on_commit(self.store.store(), &emitted, &[], trace);
-
-        if let Some(outbox) = &mut self.outbox {
-            let additions = emitted
-                .into_iter()
-                .map(|triple| EmissionQuad {
-                    triple,
-                    graph: Some(GRAPH_UGC.to_string()),
-                })
-                .collect();
-            outbox.record(
-                self.store.store().epoch(),
-                None,
-                additions,
-                Vec::new(),
-                trace,
-            )?;
-            self.obs.metrics().incr("replication.emissions");
-        }
-
         let auto_annotations = result.terms.iter().filter(|t| t.resource.is_some()).count();
-        self.annotations.insert(pid, result);
+        let annotation = Self::annotation_triples(pid, &result);
+        let delta = PlatformDelta {
+            rows,
+            annotation: Some((pid, result)),
+            context_tags: context_tags.iter().map(TripleTag::to_wire).collect(),
+            emission: None,
+        };
+
+        // Incremental semanticization of the new rows (§2.1). The POI
+        // triples are left out of the receipt's count.
+        let mut poi_triples = Vec::new();
+        let changed = self.commit(
+            delta,
+            |p| {
+                if let Some(ref_id) = poi_ref_id {
+                    poi_triples = dump::dump_resource(&p.db, &p.mapping, cpg::POI_REFS, ref_id)?;
+                }
+                let picture = dump::dump_resource(&p.db, &p.mapping, cpg::PICTURES, pid)?;
+                let triples = poi_triples.iter().cloned().chain(picture).chain(annotation);
+                Ok(p.ugc_delta(triples, Vec::new()))
+            },
+            root,
+        )?;
+        let triples_added = changed
+            .inserts
+            .iter()
+            .filter(|(triple, _)| !poi_triples.contains(triple))
+            .count();
 
         Ok(UploadReceipt {
             pid,
@@ -621,20 +666,14 @@ impl Platform {
         })
     }
 
-    /// Writes an annotation result into the UGC graph; returns the
-    /// number of new triples.
-    fn record_annotation(
-        &mut self,
-        pid: i64,
-        result: &AnnotationResult,
-    ) -> Result<usize, PlatformError> {
-        let triples = Self::annotation_triples(pid, result);
-        Ok(self.store.insert_all(&triples, self.ugc_graph)?)
+    /// A store delta inserting `triples` into the UGC graph and
+    /// removing `removes`.
+    fn ugc_delta(&self, triples: impl IntoIterator<Item = Triple>, removes: Vec<Triple>) -> Delta {
+        let inserts = triples.into_iter().map(|t| (t, self.ugc_graph)).collect();
+        Delta { inserts, removes }
     }
 
-    /// The store triples an annotation result contributes for `pid` —
-    /// shared by the commit path and the emission outbox so replicated
-    /// state matches local state exactly.
+    /// The store triples an annotation result contributes for `pid`.
     fn annotation_triples(pid: i64, result: &AnnotationResult) -> Vec<Triple> {
         let subject = Term::Iri(Self::picture_iri(pid));
         let mut triples = Vec::new();
@@ -733,55 +772,51 @@ impl Platform {
     }
 
     /// **Commit stage** of legacy batch annotation: records the
-    /// annotation triples into the UGC graph and stores the result.
-    /// Returns the number of term annotations that fired.
+    /// annotation triples into the UGC graph and stores the result, as
+    /// one commit. Returns the number of term annotations that fired.
     pub fn commit_legacy(
         &mut self,
         pid: i64,
         result: AnnotationResult,
     ) -> Result<usize, PlatformError> {
-        self.record_annotation(pid, &result)?;
-        if !self.live.engine_mut().is_empty() {
-            let triples = Self::annotation_triples(pid, &result);
-            self.live.on_commit(self.store.store(), &triples, &[], None);
-        }
         let fired = result.terms.iter().filter(|t| t.resource.is_some()).count();
-        self.annotations.insert(pid, result);
+        let triples = Self::annotation_triples(pid, &result);
+        let delta = PlatformDelta {
+            annotation: Some((pid, result)),
+            ..PlatformDelta::default()
+        };
+        self.commit(delta, |p| Ok(p.ugc_delta(triples, Vec::new())), None)?;
         Ok(fired)
     }
 
-    /// Records a vote and refreshes the picture's `rev:rating`.
+    /// Records a vote and refreshes the picture's `rev:rating` — the
+    /// old value removed, the new one inserted — as one commit.
     pub fn rate(&mut self, pid: i64, user_id: i64, rating: i64) -> Result<(), PlatformError> {
         if !(1..=5).contains(&rating) {
             return Err(PlatformError::Invalid(format!(
                 "rating {rating} out of 1..=5"
             )));
         }
-        let vote_id = self.next_vote;
-        self.next_vote += 1;
-        self.db.insert(
-            cpg::VOTES,
-            vec![vote_id.into(), pid.into(), user_id.into(), rating.into()],
-        )?;
-        let agg = self.mapping.aggregate_maps[0].clone();
-        let subject = Term::Iri(Self::picture_iri(pid));
-        // Capture the aggregate triples being replaced so the
-        // standing-query engine sees the removal half of the delta.
-        let removed = if self.live.engine_mut().is_empty() {
-            Vec::new()
-        } else {
-            self.store
-                .store()
-                .match_terms(Some(&subject), Some(&agg.predicate), None)
+        let vote_id = self.db.table(cpg::VOTES)?.next_key();
+        let vote = vec![vote_id.into(), pid.into(), user_id.into(), rating.into()];
+        let delta = PlatformDelta {
+            rows: vec![(cpg::VOTES.to_string(), vote)],
+            ..PlatformDelta::default()
         };
-        self.store.remove_pattern_sp(&subject, &agg.predicate)?;
-        let mut added = Vec::new();
-        if let Some(triple) = dump::aggregate_for(&self.db, &self.mapping, &agg, pid)? {
-            self.store.insert(&triple, self.ugc_graph)?;
-            added.push(triple);
-        }
-        self.live
-            .on_commit(self.store.store(), &added, &removed, None);
+        self.commit(
+            delta,
+            |p| {
+                let agg = &p.mapping.aggregate_maps[0];
+                let subject = Term::Iri(Self::picture_iri(pid));
+                let old = p
+                    .store
+                    .store()
+                    .match_terms(Some(&subject), Some(&agg.predicate), None);
+                let new = dump::aggregate_for(&p.db, &p.mapping, agg, pid)?;
+                Ok(p.ugc_delta(new, old))
+            },
+            None,
+        )?;
         Ok(())
     }
 
@@ -814,15 +849,16 @@ impl Platform {
         self.store.stats()
     }
 
-    /// Forces the WAL durability barrier: every mutation so far is
-    /// acknowledged once this returns `Ok`. No-op for ephemeral
-    /// platforms.
+    /// Forces the WAL durability barrier — every commit so far is
+    /// acknowledged once this returns `Ok` — and compacts once the WAL
+    /// reaches the snapshot threshold. No-op for ephemeral platforms.
     pub fn flush_store(&mut self) -> Result<(), PlatformError> {
         Ok(self.store.flush()?)
     }
 
     /// Forces log compaction into a fresh snapshot generation. No-op
-    /// for ephemeral platforms.
+    /// for ephemeral platforms, and while the emission outbox holds
+    /// undrained emissions (their commits must stay in the WAL tail).
     pub fn snapshot_store(&mut self) -> Result<(), PlatformError> {
         Ok(self.store.snapshot()?)
     }
@@ -1108,14 +1144,11 @@ impl Platform {
         crate::metrics::OpsSnapshot::collect(
             self.annotator.broker(),
             crate::metrics::OpsSources {
-                replication: self
-                    .outbox
-                    .as_ref()
-                    .map(|o| crate::metrics::ReplicationOps {
-                        lag: o.lag(),
-                        emissions: o.len() as u64,
-                        ..Default::default()
-                    }),
+                replication: self.outbox().map(|o| crate::metrics::ReplicationOps {
+                    lag: o.lag(),
+                    emissions: o.len() as u64,
+                    ..Default::default()
+                }),
                 durability: self.durability(),
                 album_cache: Some(self.album_cache_stats()),
                 semantic_cache: Some(self.semantic_cache_stats()),
@@ -1159,37 +1192,32 @@ impl Platform {
         self.live.rebuild(self.store.store());
     }
 
-    /// Switches the platform into emission-producing mode: every
-    /// [`Platform::commit_staged`] from now on journals its committed
-    /// UGC delta as an [`Emission`] from `origin`, durably on
-    /// `storage` (beside the WAL when they share a directory). On
-    /// recycled storage the sequence resumes exactly where the journal
-    /// left off; returns how many emissions were recovered.
-    pub fn enable_emissions(
-        &mut self,
-        origin: Acct,
-        storage: Box<dyn Storage>,
-    ) -> Result<usize, PlatformError> {
-        let outbox = EmissionOutbox::open(origin, storage)?;
-        let recovered = outbox.len();
-        self.outbox = Some(outbox);
-        Ok(recovered)
+    /// Switches the platform into emission-producing mode: from now on
+    /// every commit — [`Platform::commit_staged`], [`Platform::rate`],
+    /// [`Platform::commit_legacy`] — records its store delta as an
+    /// [`Emission`] from `origin`. The provenance rides in the commit's
+    /// WAL record, so on a recovered platform the sequence resumes
+    /// where the crashed process left off and the commits still in the
+    /// WAL tail are re-offered; returns how many were.
+    pub fn enable_emissions(&mut self, origin: Acct) -> usize {
+        self.outbox.enable(origin)
     }
 
     /// The emission outbox, when [`Platform::enable_emissions`] ran.
     pub fn outbox(&self) -> Option<&EmissionOutbox> {
-        self.outbox.as_ref()
+        self.outbox.origin().map(|_| &self.outbox)
     }
 
-    /// Hands every undrained emission to a replication agent. The
-    /// drain position is in-memory consumer state: after a restart the
-    /// journal re-offers everything and downstream idempotent apply
-    /// absorbs the overlap.
+    /// Hands every undrained emission to a replication agent, and lets
+    /// compaction proceed again. The drain position is in-memory
+    /// consumer state: after a restart the WAL tail is re-offered and
+    /// downstream idempotent apply absorbs the overlap.
     pub fn drain_emissions(&mut self) -> Vec<Emission> {
-        self.outbox
-            .as_mut()
-            .map(EmissionOutbox::drain)
-            .unwrap_or_default()
+        if self.outbox.origin().is_none() {
+            return Vec::new();
+        }
+        self.store.hold_compaction(false);
+        self.outbox.drain()
     }
 
     /// Refreshes registry gauges from current platform state (store
@@ -1213,7 +1241,7 @@ impl Platform {
             metrics.set_gauge("wal.records", stats.wal_records);
             metrics.set_gauge("wal.generation", stats.generation);
         }
-        if let Some(outbox) = &self.outbox {
+        if let Some(outbox) = self.outbox() {
             metrics.set_gauge("replication.outbox.lag", outbox.lag());
         }
         let live = self.live.ops();
@@ -1232,6 +1260,31 @@ impl Platform {
         }
         metrics.set_gauge("store.epoch", self.store.store().epoch());
         metrics.set_gauge("store.shards", self.store.store().shard_count() as u64);
+    }
+}
+
+/// A picture row's owner and GPS position.
+fn picture_owner_and_gps(row: &[SqlValue]) -> (u64, Option<Point>) {
+    let owner = row[2].as_int().unwrap_or(0) as u64;
+    let gps = match (row[6].as_real(), row[7].as_real()) {
+        (Some(lon), Some(lat)) => Point::new(lon, lat).ok(),
+        _ => None,
+    };
+    (owner, gps)
+}
+
+/// Indexes a picture row's plain keywords and its context tags.
+fn index_picture(
+    index: &mut TagIndex,
+    pid: i64,
+    row: &[SqlValue],
+    context_tags: impl IntoIterator<Item = TripleTag>,
+) {
+    for keyword in row[4].as_text().unwrap_or_default().split_whitespace() {
+        index.insert(pid, Tag::Plain(keyword.to_string()));
+    }
+    for tag in context_tags {
+        index.insert(pid, Tag::Triple(tag));
     }
 }
 
@@ -1453,6 +1506,39 @@ mod tests {
         let hits = p.album_cache_stats().hits;
         assert_eq!(p.view_album(&pinned).unwrap(), fresh);
         assert_eq!(p.album_cache_stats().hits, hits + 1);
+    }
+
+    /// Every commit path emits once emissions are on: a rating retracts
+    /// the old `rev:rating` and adds the new one, and a legacy
+    /// annotation emits its annotation triples.
+    #[test]
+    fn every_commit_path_emits() {
+        let mut p = small_platform();
+        p.enable_emissions(Acct::parse("acct:oscar@node1.example").unwrap());
+        let pid = p.picture_ids()[0];
+        let subject = Term::Iri(Platform::picture_iri(pid));
+        let rating = ns::REV.iri("rating");
+        let rev_rating = |p: &Platform| p.store().match_terms(Some(&subject), Some(&rating), None);
+        p.rate(pid, 1, 5).unwrap();
+        let old = rev_rating(&p);
+        p.rate(pid, 2, 1).unwrap();
+        let new = rev_rating(&p);
+        assert_ne!(old, new);
+
+        let emissions = p.drain_emissions();
+        assert_eq!(emissions.len(), 2, "one emission per rating");
+        assert_eq!(emissions[1].removals, old);
+        let added: Vec<Triple> = emissions[1]
+            .additions
+            .iter()
+            .map(|q| q.triple.clone())
+            .collect();
+        assert_eq!(added, new);
+
+        p.annotate_legacy(pid).unwrap();
+        let legacy = p.drain_emissions();
+        assert_eq!(legacy.len(), 1);
+        assert_eq!(legacy[0].seq, 3);
     }
 
     #[test]

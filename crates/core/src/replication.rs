@@ -44,7 +44,7 @@
 
 use std::collections::BTreeMap;
 
-use lodify_durability::codec::{self, PayloadOutcome};
+use lodify_durability::codec::{self, FrameOutcome};
 use lodify_durability::Storage;
 use lodify_obs::{Metrics, Obs, TraceContext, Tracer};
 use lodify_rdf::{Iri, Triple};
@@ -241,14 +241,12 @@ fn scan_emissions(bytes: &[u8]) -> Result<(Vec<Emission>, usize), PlatformError>
     let mut offset = 0usize;
     loop {
         match codec::read_payload_frame(bytes, offset) {
-            PayloadOutcome::Frame { seq, body, next } => {
-                emissions.push(Emission::decode(seq, &body)?);
+            FrameOutcome::Frame { seq, record, next } => {
+                emissions.push(Emission::decode(seq, &record)?);
                 offset = next;
             }
-            PayloadOutcome::End | PayloadOutcome::Truncated { .. } => {
-                return Ok((emissions, offset))
-            }
-            PayloadOutcome::Corrupt { at, reason } => {
+            FrameOutcome::End | FrameOutcome::Truncated { .. } => return Ok((emissions, offset)),
+            FrameOutcome::Corrupt { at, reason } => {
                 return Err(PlatformError::Invalid(format!(
                     "corrupt emission journal at byte {at}: {reason}"
                 )))
@@ -257,9 +255,9 @@ fn scan_emissions(bytes: &[u8]) -> Result<(Vec<Emission>, usize), PlatformError>
     }
 }
 
-/// The durable emission journal behind a [`Replica`] and an
-/// [`EmissionOutbox`]: CRC-framed emissions in [`EMISSIONS_FILE`],
-/// flushed on every append, mirrored in memory in arrival order.
+/// The durable emission journal behind a [`Replica`]: CRC-framed
+/// emissions in [`EMISSIONS_FILE`], flushed on every append, mirrored
+/// in memory in arrival order.
 struct EmissionJournal {
     storage: Box<dyn Storage>,
     emissions: Vec<Emission>,
@@ -1068,96 +1066,91 @@ impl Replicator {
 
 // -------------------------------------------------------------- outbox
 
-/// A platform-side emission outbox: `Platform::commit_staged` records
-/// each commit's annotated quads here; a replication agent drains it
-/// and ships. The journal persists beside the WAL (its own storage
-/// object) so a restarted platform resumes its sequence numbers; the
-/// drain position is consumer state, so a restart re-offers recovered
-/// emissions and downstream idempotent apply absorbs the overlap.
+/// The platform-side emission outbox: an in-memory queue plus the
+/// sequence counter. Every platform commit — upload, rating, legacy
+/// annotation — records its store delta here; a replication agent
+/// drains it and ships. It keeps no journal of its own: each commit's
+/// one WAL record carries the emission provenance, so a restarted
+/// platform resumes the sequence from the recovered commits and
+/// re-offers those still in the WAL tail (compaction waits while the
+/// outbox is undrained, so an undrained emission is always there).
+/// The drain position is consumer state: downstream idempotent apply
+/// absorbs the overlap a restart re-offers.
+#[derive(Debug, Default)]
 pub struct EmissionOutbox {
-    origin: Acct,
-    journal: EmissionJournal,
-    next_seq: u64,
-    /// Sequence number up to which a consumer has drained.
-    consumed: u64,
+    origin: Option<Acct>,
+    queue: Vec<Emission>,
+    /// Emissions recorded so far: the last sequence number handed out.
+    recorded: u64,
 }
 
 impl EmissionOutbox {
-    /// Opens (or creates) an outbox journal on `storage`, recovering
-    /// the emission sequence exactly.
-    pub fn open(origin: Acct, storage: Box<dyn Storage>) -> Result<EmissionOutbox, PlatformError> {
-        let journal = EmissionJournal::open(storage)?;
-        let next_seq = match journal.emissions.last() {
-            None => 1,
-            Some(last) => last.seq.checked_add(1).ok_or_else(|| {
-                PlatformError::Invalid("emission journal sequence numbers exhausted".into())
-            })?,
-        };
-        Ok(EmissionOutbox {
-            origin,
-            journal,
-            next_seq,
-            consumed: 0,
-        })
+    /// Starts emitting as `origin`; returns how many emissions are
+    /// already queued (re-offered after a restart).
+    pub fn enable(&mut self, origin: Acct) -> usize {
+        for emission in &mut self.queue {
+            emission.origin = origin.clone();
+        }
+        self.origin = Some(origin);
+        self.queue.len()
     }
 
-    /// Records one commit's delta as an emission (journaled durably),
-    /// stamped with the commit's trace context so replicas applying it
-    /// stitch their spans under the origin trace.
+    /// Records the next emission, stamped with the commit's trace
+    /// context so replicas applying it stitch their spans under the
+    /// origin trace. `body` is the commit's additions and removals, or
+    /// `None` for a commit compaction folded in before a restart: its
+    /// sequence number is spent but it is not re-offered. Returns the
+    /// sequence number.
     pub fn record(
         &mut self,
         epoch: u64,
         album: Option<&str>,
-        additions: Vec<EmissionQuad>,
-        removals: Vec<Triple>,
+        body: Option<(Vec<EmissionQuad>, Vec<Triple>)>,
         trace: Option<TraceContext>,
-    ) -> Result<u64, PlatformError> {
-        let emission = Emission {
-            origin: self.origin.clone(),
-            seq: self.next_seq,
-            epoch,
-            album: album.map(str::to_string),
-            additions,
-            removals,
-            trace,
-        };
-        self.journal.append(emission)?;
-        self.next_seq += 1;
-        Ok(self.next_seq - 1)
+    ) -> u64 {
+        self.recorded += 1;
+        if let Some((additions, removals)) = body {
+            self.queue.push(Emission {
+                // Until `enable` names the origin (recovery replays
+                // before it), a queued emission carries an empty one.
+                origin: self.origin.clone().unwrap_or(Acct {
+                    user: String::new(),
+                    host: String::new(),
+                }),
+                seq: self.recorded,
+                epoch,
+                album: album.map(str::to_string),
+                additions,
+                removals,
+                trace,
+            });
+        }
+        self.recorded
     }
 
     /// Emissions not yet handed to a consumer.
     pub fn lag(&self) -> u64 {
-        (self.next_seq - 1).saturating_sub(self.consumed)
+        self.queue.len() as u64
     }
 
-    /// Hands every undrained emission to the consumer, advancing the
-    /// drain position.
+    /// Hands every undrained emission to the consumer.
     pub fn drain(&mut self) -> Vec<Emission> {
-        let pending: Vec<Emission> = self
-            .journal
-            .emissions
-            .iter()
-            .filter(|e| e.seq > self.consumed)
-            .cloned()
-            .collect();
-        self.consumed = self.next_seq - 1;
-        pending
+        std::mem::take(&mut self.queue)
     }
 
-    /// The account this outbox emits as.
-    pub fn origin(&self) -> &Acct {
-        &self.origin
+    /// The account this outbox emits as, once enabled.
+    pub fn origin(&self) -> Option<&Acct> {
+        self.origin.as_ref()
     }
 
-    /// Total emissions journaled (including drained ones).
+    /// Emissions recorded so far (including drained ones).
     pub fn len(&self) -> usize {
-        self.journal.emissions.len()
+        self.recorded as usize
     }
 
-    /// Whether the journal is empty.
+    /// Whether nothing was recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.journal.emissions.is_empty()
+        self.recorded == 0
     }
 }
 
@@ -1403,9 +1396,8 @@ mod tests {
                 }
                 Err(_) => rejected += 1,
             }
-            // Opening it as either kind of journal never panics either.
+            // Opening it as a replica journal never panics either.
             let _ = Replica::open("node1.example".into(), Box::new(disk_holding(&journal)));
-            let _ = EmissionOutbox::open(valid.origin.clone(), Box::new(disk_holding(&journal)));
         }
         assert!(
             decoded > 0 && recovered > 0 && rejected > 300,
@@ -1601,75 +1593,78 @@ mod tests {
         );
     }
 
+    /// The outbox keeps no journal: a durable platform's WAL carries
+    /// each emission's provenance. Compaction waits while emissions are
+    /// undrained, so a crash re-offers exactly those from the WAL tail
+    /// and the sequence resumes after the last one recorded.
     #[test]
     fn outbox_resumes_sequence_numbers_across_restarts() {
-        let disk = MemStorage::new();
-        let origin = acct("acct:oscar@node1.example");
-        let mut outbox = EmissionOutbox::open(origin.clone(), Box::new(disk.clone())).unwrap();
-        let quad = |s: &str| EmissionQuad {
-            triple: Triple::new_unchecked(
-                Term::Iri(Iri::new_unchecked(s)),
-                Iri::new_unchecked("http://purl.org/dc/terms/title"),
-                Term::Literal(lodify_rdf::Literal::simple("x")),
-            ),
-            graph: Some("urn:graph:ugc".into()),
-        };
-        assert_eq!(
-            outbox
-                .record(
-                    10,
-                    None,
-                    vec![quad("http://node1.example/media/1")],
-                    vec![],
-                    None
-                )
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            outbox
-                .record(
-                    11,
-                    Some("trip"),
-                    vec![quad("http://node1.example/media/2")],
-                    vec![],
-                    Some(TraceContext {
-                        trace_id: 9,
-                        parent_span_id: 1,
-                    })
-                )
-                .unwrap(),
-            2
-        );
-        assert_eq!(outbox.lag(), 2);
-        assert_eq!(outbox.drain().len(), 2);
-        assert_eq!(outbox.lag(), 0);
+        use crate::platform::{Platform, Upload};
+        use lodify_durability::{DurabilityOptions, GroupCommitPolicy};
+        use lodify_relational::WorkloadConfig;
 
-        // Restart: sequence resumes at 3; the journal re-offers all
-        // emissions (idempotent apply downstream absorbs the overlap).
-        let mut reopened = EmissionOutbox::open(origin, Box::new(disk)).unwrap();
-        assert_eq!(reopened.len(), 2);
-        assert_eq!(reopened.lag(), 2);
-        assert_eq!(
-            reopened
-                .record(
-                    12,
-                    None,
-                    vec![quad("http://node1.example/media/3")],
-                    vec![],
-                    None
-                )
-                .unwrap(),
-            3
+        let disk = MemStorage::new();
+        let options = DurabilityOptions {
+            group_commit: GroupCommitPolicy::batched(64),
+            snapshot_every_records: None,
+        };
+        let boot = || {
+            let storage = Box::new(disk.clone());
+            Platform::bootstrap_durable(WorkloadConfig::small(7), storage, options)
+                .unwrap()
+                .0
+        };
+        let origin = acct("acct:oscar@node1.example");
+        let seqs = |emissions: &[Emission]| emissions.iter().map(|e| e.seq).collect::<Vec<_>>();
+        let mut p = boot();
+        assert_eq!(p.enable_emissions(origin.clone()), 0);
+        let seed = p.picture_ids()[0];
+
+        // Emission 1 is drained, and compaction folds it away.
+        p.upload(Upload {
+            user_id: 1,
+            title: "Tramonto alla Mole".into(),
+            tags: vec!["torino".into()],
+            ts: 1_320_500_000,
+            gps: None,
+            poi: None,
+        })
+        .unwrap();
+        let first = p.drain_emissions();
+        assert_eq!(seqs(&first), vec![1]);
+        assert!(
+            first[0].trace.is_some(),
+            "the upload's trace context rides along"
         );
-        // The stamped trace context survives the journal round trip.
-        assert_eq!(
-            reopened.drain()[1].trace,
-            Some(TraceContext {
-                trace_id: 9,
-                parent_span_id: 1,
-            })
-        );
+        p.snapshot_store().unwrap();
+        let generation = p.durability().unwrap().generation;
+
+        // Emissions 2 and 3 stay undrained: compaction waits for them.
+        p.rate(seed, 2, 4).unwrap();
+        p.annotate_legacy(seed).unwrap();
+        p.flush_store().unwrap();
+        p.snapshot_store().unwrap();
+        assert_eq!(p.durability().unwrap().generation, generation);
+        assert_eq!(p.outbox().unwrap().lag(), 2);
+
+        // Crash and recover: the WAL tail re-offers both, and the
+        // sequence resumes at 4.
+        drop(p);
+        disk.crash();
+        let mut p = boot();
+        assert_eq!(p.enable_emissions(origin.clone()), 2);
+        assert_eq!(p.outbox().unwrap().len(), 3);
+        p.snapshot_store().unwrap();
+        assert_eq!(p.durability().unwrap().generation, generation, "still held");
+        p.rate(seed, 3, 5).unwrap();
+        let reoffered = p.drain_emissions();
+        assert_eq!(seqs(&reoffered), vec![2, 3, 4]);
+        assert!(reoffered.iter().all(|e| e.origin == origin));
+        assert!(!reoffered[0].removals.is_empty() && !reoffered[1].additions.is_empty());
+
+        // Drained: compaction proceeds.
+        p.snapshot_store().unwrap();
+        assert_eq!(p.durability().unwrap().generation, generation + 1);
     }
 
     #[test]

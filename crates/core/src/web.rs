@@ -1667,14 +1667,9 @@ mod tests {
     #[test]
     fn ops_route_reports_replication_outbox_lag() {
         use crate::Upload;
-        use lodify_durability::MemStorage;
 
         let mut p = platform();
-        p.enable_emissions(
-            crate::federation::Acct::parse("acct:oscar@node1.example").unwrap(),
-            Box::new(MemStorage::new()),
-        )
-        .unwrap();
+        p.enable_emissions(crate::federation::Acct::parse("acct:oscar@node1.example").unwrap());
         p.upload(Upload {
             user_id: 1,
             title: "Tramonto alla Mole".into(),
@@ -1685,7 +1680,7 @@ mod tests {
         })
         .unwrap();
 
-        // The commit journaled one emission; nothing drained it yet.
+        // The commit recorded one emission; nothing drained it yet.
         let resp = get(&p, "/ops", false);
         assert_eq!(resp.status, 200);
         assert!(

@@ -12,9 +12,10 @@
 //! `crc` is the IEEE CRC-32 of the payload, so a torn or bit-flipped
 //! record is detected rather than replayed. Integers are LEB128
 //! varints (dictionary ids are small and dense, triples encode in a
-//! handful of bytes); strings are varint-length-prefixed UTF-8. Terms
-//! are written once as [`Record::DictAdd`] entries and referenced by
-//! id from then on — the *compact* part of the codec.
+//! handful of bytes); strings are varint-length-prefixed UTF-8. A term
+//! is written once — inside the [`Record::Commit`] that first uses it,
+//! or as a snapshot's [`Record::DictAdd`] — and referenced by wire id
+//! from then on: the *compact* part of the codec.
 //!
 //! Besides [`Record`] frames the codec also offers *opaque payload*
 //! frames ([`put_payload_frame`] / [`read_payload_frame`]) — the same
@@ -58,14 +59,26 @@ pub enum Record {
         /// Wire graph id.
         gid: u16,
     },
-    /// Removes a statement (terms by wire id).
-    Remove {
-        /// Subject wire id.
-        s: u64,
-        /// Predicate wire id.
-        p: u64,
-        /// Object wire id.
-        o: u64,
+    /// One commit — the only record a WAL holds: the graphs and terms
+    /// it introduces, its statement delta by wire id (removes apply
+    /// before inserts), and an opaque caller payload that the
+    /// durability crate stores and returns but never parses. In a
+    /// snapshot, a commit with an empty delta carries the meta of a
+    /// commit compaction folded in.
+    Commit {
+        /// Graph declarations, `(wire gid, name)`.
+        graphs: Vec<(u16, String)>,
+        /// New wire-dictionary entries, `(wire id, term)`.
+        terms: Vec<(u64, Term)>,
+        /// Inserted statements, `(s, p, o, gid)`.
+        inserts: Vec<(u64, u64, u64, u16)>,
+        /// Removed statements, `(s, p, o)`.
+        removes: Vec<(u64, u64, u64)>,
+        /// The caller's payload.
+        meta: Vec<u8>,
+        /// Appended while compaction was held: recovery hands back its
+        /// delta, not only its meta.
+        held: bool,
     },
     /// First record of a snapshot segment.
     SnapshotHeader {
@@ -77,6 +90,8 @@ pub enum Record {
         terms: u64,
         /// Number of insert records that follow.
         triples: u64,
+        /// Number of meta-only commit records that follow.
+        commits: u64,
     },
     /// Last record of a snapshot segment; a snapshot without a valid
     /// footer is incomplete and recovery falls back to the previous
@@ -92,9 +107,10 @@ pub enum Record {
 const TAG_GRAPH_DECL: u8 = 1;
 const TAG_DICT_ADD: u8 = 2;
 const TAG_INSERT: u8 = 3;
-const TAG_REMOVE: u8 = 4;
 const TAG_SNAPSHOT_HEADER: u8 = 5;
 const TAG_SNAPSHOT_FOOTER: u8 = 6;
+const TAG_COMMIT: u8 = 7;
+const TAG_COMMIT_HELD: u8 = 8;
 
 const TERM_IRI: u8 = 0;
 const TERM_BLANK: u8 = 1;
@@ -175,19 +191,41 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Reads varint-length-prefixed bytes, validating the bounds.
+pub fn get_bytes<'a>(bytes: &'a [u8], cursor: &mut usize) -> Result<&'a [u8], DurabilityError> {
+    let len = get_varint(bytes, cursor)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| cursor.checked_add(len))
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| DurabilityError::Codec("length ran off the payload".into()))?;
+    let out = &bytes[*cursor..end];
+    *cursor = end;
+    Ok(out)
+}
+
 /// Reads a varint-length-prefixed UTF-8 string, validating both the
 /// bounds and the encoding.
 pub fn get_str(bytes: &[u8], cursor: &mut usize) -> Result<String, DurabilityError> {
-    let len = get_varint(bytes, cursor)? as usize;
-    let end = cursor
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| DurabilityError::Codec("string ran off the payload".into()))?;
-    let s = std::str::from_utf8(&bytes[*cursor..end])
-        .map_err(|e| DurabilityError::Codec(format!("invalid UTF-8: {e}")))?
-        .to_string();
-    *cursor = end;
-    Ok(s)
+    let raw = get_bytes(bytes, cursor)?;
+    std::str::from_utf8(raw)
+        .map(str::to_string)
+        .map_err(|e| DurabilityError::Codec(format!("invalid UTF-8: {e}")))
+}
+
+/// Reads a varint count followed by that many items, pre-allocating at
+/// most 1,024 slots so a corrupt count cannot force a huge allocation.
+pub fn get_list<T>(
+    bytes: &[u8],
+    cursor: &mut usize,
+    mut item: impl FnMut(&[u8], &mut usize) -> Result<T, DurabilityError>,
+) -> Result<Vec<T>, DurabilityError> {
+    let n = get_varint(bytes, cursor)?;
+    let mut out = Vec::with_capacity(n.min(1024) as usize);
+    for _ in 0..n {
+        out.push(item(bytes, cursor)?);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------- terms
@@ -267,28 +305,55 @@ impl Record {
             }
             Record::Insert { s, p, o, gid } => {
                 out.push(TAG_INSERT);
-                put_varint(out, *s);
-                put_varint(out, *p);
-                put_varint(out, *o);
-                put_varint(out, u64::from(*gid));
+                for v in [*s, *p, *o, u64::from(*gid)] {
+                    put_varint(out, v);
+                }
             }
-            Record::Remove { s, p, o } => {
-                out.push(TAG_REMOVE);
-                put_varint(out, *s);
-                put_varint(out, *p);
-                put_varint(out, *o);
+            Record::Commit {
+                graphs,
+                terms,
+                inserts,
+                removes,
+                meta,
+                held,
+            } => {
+                out.push(if *held { TAG_COMMIT_HELD } else { TAG_COMMIT });
+                put_varint(out, graphs.len() as u64);
+                for (gid, name) in graphs {
+                    put_varint(out, u64::from(*gid));
+                    put_str(out, name);
+                }
+                put_varint(out, terms.len() as u64);
+                for (id, term) in terms {
+                    put_varint(out, *id);
+                    put_term(out, term);
+                }
+                put_varint(out, inserts.len() as u64);
+                for &(s, p, o, gid) in inserts {
+                    for v in [s, p, o, u64::from(gid)] {
+                        put_varint(out, v);
+                    }
+                }
+                put_varint(out, removes.len() as u64);
+                for &(s, p, o) in removes {
+                    for v in [s, p, o] {
+                        put_varint(out, v);
+                    }
+                }
+                put_varint(out, meta.len() as u64);
+                out.extend_from_slice(meta);
             }
             Record::SnapshotHeader {
                 last_seq,
                 graphs,
                 terms,
                 triples,
+                commits,
             } => {
                 out.push(TAG_SNAPSHOT_HEADER);
-                put_varint(out, *last_seq);
-                put_varint(out, *graphs);
-                put_varint(out, *terms);
-                put_varint(out, *triples);
+                for v in [last_seq, graphs, terms, triples, commits] {
+                    put_varint(out, *v);
+                }
             }
             Record::SnapshotFooter { last_seq, records } => {
                 out.push(TAG_SNAPSHOT_FOOTER);
@@ -304,9 +369,9 @@ impl Record {
             .get(*cursor)
             .ok_or_else(|| DurabilityError::Codec("record tag missing".into()))?;
         *cursor += 1;
-        let gid_of = |v: u64| -> Result<u16, DurabilityError> {
+        fn gid_of(v: u64) -> Result<u16, DurabilityError> {
             u16::try_from(v).map_err(|_| DurabilityError::Codec(format!("graph id {v} > u16")))
-        };
+        }
         match tag {
             TAG_GRAPH_DECL => {
                 let gid = gid_of(get_varint(bytes, cursor)?)?;
@@ -324,16 +389,33 @@ impl Record {
                 o: get_varint(bytes, cursor)?,
                 gid: gid_of(get_varint(bytes, cursor)?)?,
             }),
-            TAG_REMOVE => Ok(Record::Remove {
-                s: get_varint(bytes, cursor)?,
-                p: get_varint(bytes, cursor)?,
-                o: get_varint(bytes, cursor)?,
+            TAG_COMMIT | TAG_COMMIT_HELD => Ok(Record::Commit {
+                graphs: get_list(bytes, cursor, |b, c| {
+                    Ok((gid_of(get_varint(b, c)?)?, get_str(b, c)?))
+                })?,
+                terms: get_list(bytes, cursor, |b, c| {
+                    Ok((get_varint(b, c)?, get_term(b, c)?))
+                })?,
+                inserts: get_list(bytes, cursor, |b, c| {
+                    Ok((
+                        get_varint(b, c)?,
+                        get_varint(b, c)?,
+                        get_varint(b, c)?,
+                        gid_of(get_varint(b, c)?)?,
+                    ))
+                })?,
+                removes: get_list(bytes, cursor, |b, c| {
+                    Ok((get_varint(b, c)?, get_varint(b, c)?, get_varint(b, c)?))
+                })?,
+                meta: get_bytes(bytes, cursor)?.to_vec(),
+                held: tag == TAG_COMMIT_HELD,
             }),
             TAG_SNAPSHOT_HEADER => Ok(Record::SnapshotHeader {
                 last_seq: get_varint(bytes, cursor)?,
                 graphs: get_varint(bytes, cursor)?,
                 terms: get_varint(bytes, cursor)?,
                 triples: get_varint(bytes, cursor)?,
+                commits: get_varint(bytes, cursor)?,
             }),
             TAG_SNAPSHOT_FOOTER => Ok(Record::SnapshotFooter {
                 last_seq: get_varint(bytes, cursor)?,
@@ -346,28 +428,41 @@ impl Record {
     }
 }
 
+impl Record {
+    /// A commit that changes nothing and carries only `meta`: how a
+    /// snapshot keeps the metas of the commits it folds in.
+    pub fn meta_only(meta: Vec<u8>) -> Record {
+        Record::Commit {
+            graphs: Vec::new(),
+            terms: Vec::new(),
+            inserts: Vec::new(),
+            removes: Vec::new(),
+            meta,
+            held: false,
+        }
+    }
+}
+
 // --------------------------------------------------------------- frames
 
 /// Appends a CRC32-framed, length-prefixed record with its journal
 /// sequence number.
 pub fn put_frame(out: &mut Vec<u8>, seq: u64, record: &Record) {
-    let mut payload = Vec::with_capacity(16);
-    put_varint(&mut payload, seq);
-    record.encode(&mut payload);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut body = Vec::with_capacity(16);
+    record.encode(&mut body);
+    put_payload_frame(out, seq, &body);
 }
 
-/// Result of scanning one frame at an offset.
+/// Result of scanning one frame at an offset: a decoded [`Record`]
+/// from [`read_frame`], opaque body bytes from [`read_payload_frame`].
 #[derive(Debug)]
-pub enum FrameOutcome {
+pub enum FrameOutcome<T = Record> {
     /// A complete, CRC-verified frame.
     Frame {
-        /// Journal sequence number.
+        /// Sequence number written with the frame.
         seq: u64,
-        /// The decoded record.
-        record: Record,
+        /// The decoded record (or opaque body).
+        record: T,
         /// Offset of the next frame.
         next: usize,
     },
@@ -393,6 +488,41 @@ pub enum FrameOutcome {
 /// input; a WAL reader loops on this and stops at the first non-frame
 /// outcome.
 pub fn read_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
+    let corrupt = |reason: String| FrameOutcome::Corrupt { at: offset, reason };
+    let (seq, body, next) = match read_payload_frame(bytes, offset) {
+        FrameOutcome::Frame { seq, record, next } => (seq, record, next),
+        FrameOutcome::End => return FrameOutcome::End,
+        FrameOutcome::Truncated { at } => return FrameOutcome::Truncated { at },
+        FrameOutcome::Corrupt { reason, .. } => return corrupt(reason),
+    };
+    let mut cursor = 0usize;
+    match Record::decode(&body, &mut cursor) {
+        Ok(record) if cursor == body.len() => FrameOutcome::Frame { seq, record, next },
+        Ok(_) => corrupt("trailing bytes after record body".into()),
+        Err(e) => corrupt(e.to_string()),
+    }
+}
+
+// ------------------------------------------------------ payload frames
+
+/// Appends a CRC32-framed, length-prefixed *opaque* payload — the same
+/// wire shape as [`put_frame`], but carrying caller-defined bytes
+/// instead of a [`Record`]. The replication layer frames its emissions
+/// with this so emission journals inherit the WAL's torn-tail and
+/// bit-flip detection without reserving record tags.
+pub fn put_payload_frame(out: &mut Vec<u8>, seq: u64, body: &[u8]) {
+    let mut payload = Vec::with_capacity(body.len() + 4);
+    put_varint(&mut payload, seq);
+    payload.extend_from_slice(body);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+}
+
+/// Scans the opaque-payload frame starting at `offset`; the counterpart
+/// of [`read_frame`] for [`put_payload_frame`] streams. Never panics on
+/// malformed input.
+pub fn read_payload_frame(bytes: &[u8], offset: usize) -> FrameOutcome<Vec<u8>> {
     if offset >= bytes.len() {
         return FrameOutcome::End;
     }
@@ -420,114 +550,13 @@ pub fn read_frame(bytes: &[u8], offset: usize) -> FrameOutcome {
         };
     }
     let mut cursor = 0usize;
-    let seq = match get_varint(payload, &mut cursor) {
-        Ok(seq) => seq,
-        Err(e) => {
-            return FrameOutcome::Corrupt {
-                at: offset,
-                reason: e.to_string(),
-            }
-        }
-    };
-    match Record::decode(payload, &mut cursor) {
-        Ok(record) if cursor == payload.len() => FrameOutcome::Frame {
+    match get_varint(payload, &mut cursor) {
+        Ok(seq) => FrameOutcome::Frame {
             seq,
-            record,
+            record: payload[cursor..].to_vec(),
             next: offset + body_end,
-        },
-        Ok(_) => FrameOutcome::Corrupt {
-            at: offset,
-            reason: "trailing bytes after record body".into(),
         },
         Err(e) => FrameOutcome::Corrupt {
-            at: offset,
-            reason: e.to_string(),
-        },
-    }
-}
-
-// ------------------------------------------------------ payload frames
-
-/// Appends a CRC32-framed, length-prefixed *opaque* payload — the same
-/// wire shape as [`put_frame`], but carrying caller-defined bytes
-/// instead of a [`Record`]. The replication layer frames its emissions
-/// with this so emission journals inherit the WAL's torn-tail and
-/// bit-flip detection without reserving record tags.
-pub fn put_payload_frame(out: &mut Vec<u8>, seq: u64, body: &[u8]) {
-    let mut payload = Vec::with_capacity(body.len() + 4);
-    put_varint(&mut payload, seq);
-    payload.extend_from_slice(body);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-}
-
-/// Result of scanning one opaque-payload frame at an offset.
-#[derive(Debug)]
-pub enum PayloadOutcome {
-    /// A complete, CRC-verified frame.
-    Frame {
-        /// Sequence number written with the frame.
-        seq: u64,
-        /// The opaque body bytes.
-        body: Vec<u8>,
-        /// Offset of the next frame.
-        next: usize,
-    },
-    /// Clean end of the byte stream.
-    End,
-    /// Bytes remain but do not form a whole frame — a truncated tail.
-    Truncated {
-        /// Offset where the partial frame starts.
-        at: usize,
-    },
-    /// A structurally complete frame whose CRC does not check out.
-    Corrupt {
-        /// Offset of the bad frame.
-        at: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
-}
-
-/// Scans the opaque-payload frame starting at `offset`; the counterpart
-/// of [`read_frame`] for [`put_payload_frame`] streams. Never panics on
-/// malformed input.
-pub fn read_payload_frame(bytes: &[u8], offset: usize) -> PayloadOutcome {
-    if offset >= bytes.len() {
-        return PayloadOutcome::End;
-    }
-    let remaining = &bytes[offset..];
-    if remaining.len() < 8 {
-        return PayloadOutcome::Truncated { at: offset };
-    }
-    let len = u32::from_le_bytes(remaining[0..4].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return PayloadOutcome::Corrupt {
-            at: offset,
-            reason: format!("frame length {len} exceeds cap"),
-        };
-    }
-    let expected_crc = u32::from_le_bytes(remaining[4..8].try_into().unwrap());
-    let body_end = 8 + len as usize;
-    if remaining.len() < body_end {
-        return PayloadOutcome::Truncated { at: offset };
-    }
-    let payload = &remaining[8..body_end];
-    if crc32(payload) != expected_crc {
-        return PayloadOutcome::Corrupt {
-            at: offset,
-            reason: "CRC mismatch".into(),
-        };
-    }
-    let mut cursor = 0usize;
-    match get_varint(payload, &mut cursor) {
-        Ok(seq) => PayloadOutcome::Frame {
-            seq,
-            body: payload[cursor..].to_vec(),
-            next: offset + body_end,
-        },
-        Err(e) => PayloadOutcome::Corrupt {
             at: offset,
             reason: e.to_string(),
         },
@@ -567,12 +596,28 @@ mod tests {
                 o: 43,
                 gid: 3,
             },
-            Record::Remove { s: 42, p: 1, o: 43 },
+            Record::Commit {
+                graphs: vec![(4, "urn:g:votes".into())],
+                terms: vec![(46, Term::Literal(Literal::simple("4.5")))],
+                inserts: vec![(42, 1, 46, 4)],
+                removes: vec![(42, 1, 43)],
+                meta: vec![0xFF, 0x00, 0x7F],
+                held: true,
+            },
+            Record::Commit {
+                graphs: Vec::new(),
+                terms: Vec::new(),
+                inserts: Vec::new(),
+                removes: Vec::new(),
+                meta: Vec::new(),
+                held: false,
+            },
             Record::SnapshotHeader {
                 last_seq: 7,
                 graphs: 2,
                 terms: 4,
                 triples: 1,
+                commits: 3,
             },
             Record::SnapshotFooter {
                 last_seq: 7,
@@ -661,11 +706,11 @@ mod tests {
         let mut seen = Vec::new();
         loop {
             match read_payload_frame(&buf, offset) {
-                PayloadOutcome::Frame { seq, body, next } => {
-                    seen.push((seq, body));
+                FrameOutcome::Frame { seq, record, next } => {
+                    seen.push((seq, record));
                     offset = next;
                 }
-                PayloadOutcome::End => break,
+                FrameOutcome::End => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -682,7 +727,7 @@ mod tests {
         put_payload_frame(&mut one, 9, b"payload");
         for cut in 1..one.len() {
             match read_payload_frame(&one[..cut], 0) {
-                PayloadOutcome::Truncated { at: 0 } | PayloadOutcome::Corrupt { .. } => {}
+                FrameOutcome::Truncated { at: 0 } | FrameOutcome::Corrupt { .. } => {}
                 other => panic!("cut at {cut}: {other:?}"),
             }
         }
@@ -692,7 +737,7 @@ mod tests {
         bent[last] ^= 0x01;
         assert!(matches!(
             read_payload_frame(&bent, 0),
-            PayloadOutcome::Corrupt { .. }
+            FrameOutcome::Corrupt { .. }
         ));
     }
 

@@ -1,21 +1,22 @@
 //! The persistence engine: a [`Store`] paired with a journal.
 //!
-//! [`DurableStore`] is the one mutation entry point. In *ephemeral*
-//! mode it is a zero-cost passthrough to the in-memory store; in
-//! *durable* mode every structural mutation is journaled to a WAL
-//! before being acknowledged, snapshots periodically compact the log,
-//! and [`DurableStore::open`] / [`DurableStore::open_or_adopt`]
-//! rebuild the store — triple indexes, fulltext, geo, stats — to
-//! exactly the last acknowledged state after a crash.
+//! [`DurableStore::commit`] is the one mutation entry point. It applies
+//! a [`Delta`] and, in *durable* mode, appends it with an opaque caller
+//! `meta` as exactly one [`Record::Commit`], so neither a group-commit
+//! flush nor a crash can split a commit. Snapshots compact the log, and
+//! [`DurableStore::open`] / [`DurableStore::open_or_adopt`] rebuild the
+//! store — triple indexes, fulltext, geo, stats — to exactly the last
+//! acknowledged commit, handing every commit's meta back in the
+//! [`RecoveryReport`] so the caller can replay its own state.
 //!
 //! ## On-disk layout
 //!
 //! A *generation* `g` is a pair of files: `snap-<g>` (a validated
-//! [`crate::snapshot`] segment) and `wal-<g>` (the tail of mutations
-//! since that snapshot). Compaction writes generation `g+1` fully —
-//! snapshot flushed, fresh WAL created — before deleting generation
-//! `g`, so a crash at any point leaves at least one recoverable
-//! generation on disk.
+//! [`crate::snapshot`] segment, keeping the metas of the commits it
+//! folds in) and `wal-<g>` (the commits since). Compaction writes
+//! generation `g+1` fully — snapshot flushed, fresh WAL created —
+//! before deleting generation `g`, so a crash at any point leaves at
+//! least one recoverable generation on disk.
 //!
 //! ## Wire dictionary
 //!
@@ -42,7 +43,7 @@ use lodify_resilience::FaultPlan;
 use lodify_store::store::Store;
 use lodify_store::GraphId;
 
-use crate::codec::Record;
+use crate::codec::{read_frame, FrameOutcome, Record};
 use crate::error::DurabilityError;
 use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotImage};
 use crate::storage::Storage;
@@ -71,8 +72,8 @@ pub struct DurabilityOptions {
     /// Group-commit batching for the WAL.
     pub group_commit: GroupCommitPolicy,
     /// Compact automatically once the live WAL holds this many
-    /// records; `None` disables automatic snapshots (explicit
-    /// [`DurableStore::snapshot`] still works).
+    /// commits, checked at every flush; `None` disables automatic
+    /// snapshots (explicit [`DurableStore::snapshot`] still works).
     pub snapshot_every_records: Option<u64>,
 }
 
@@ -102,6 +103,35 @@ pub struct RecoveryReport {
     /// Invalid (partially written) snapshot generations skipped before
     /// a usable one was found.
     pub generations_skipped: u64,
+    /// Every recovered commit with a non-empty meta, in commit order.
+    pub commits: Vec<RecoveredCommit>,
+}
+
+/// One commit handed back by recovery.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RecoveredCommit {
+    /// The meta the commit carried, verbatim.
+    pub meta: Vec<u8>,
+    /// The statements it changed, for a commit of the WAL tail that
+    /// was appended while compaction was held; `None` otherwise.
+    pub delta: Option<Delta>,
+}
+
+/// A store mutation applied and journaled as one unit. Removes apply
+/// before inserts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Delta {
+    /// Statements to insert, each into its graph.
+    pub inserts: Vec<(Triple, GraphId)>,
+    /// Statements to remove from the union store.
+    pub removes: Vec<Triple>,
+}
+
+impl Delta {
+    /// Whether the delta changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.inserts.is_empty() && self.removes.is_empty()
+    }
 }
 
 /// Point-in-time durability counters for operational dashboards.
@@ -109,7 +139,7 @@ pub struct RecoveryReport {
 pub struct DurabilityStats {
     /// Current generation number.
     pub generation: u64,
-    /// Records in the live WAL (journal depth since last snapshot).
+    /// Commits in the live WAL (journal depth since last snapshot).
     pub wal_records: u64,
     /// Bytes in the live WAL.
     pub wal_bytes: u64,
@@ -159,36 +189,40 @@ impl WireDict {
         self.by_term.insert(term.clone(), id);
         (id, true)
     }
-
-    fn term(&self, id: u64) -> Option<&Term> {
-        self.terms.get(id as usize)
-    }
-
-    fn len(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 struct Journal {
     storage: Box<dyn Storage>,
     wire: WireDict,
     wal: WalWriter,
-    generation: u64,
     /// Graphs already journaled; store graph ids below this are
     /// declared in the log.
     declared_graphs: usize,
+    /// Set while a consumer still needs the WAL tail: compaction waits.
+    hold: bool,
     options: DurabilityOptions,
     fault_plan: Option<FaultPlan>,
     observability: Option<Metrics>,
-    snapshots_written: u64,
-    last_snapshot_ms: Option<u64>,
-    records_replayed: u64,
-    tail_dropped_bytes: u64,
-    flushes_total: u64,
-    records_total: u64,
+    /// Generation and lifetime counters (`wal_*` filled in on read).
+    stats: DurabilityStats,
 }
 
 impl Journal {
+    /// A generation-0 journal (no files): adoption or recovery moves it on.
+    fn new(storage: Box<dyn Storage>, options: DurabilityOptions) -> Journal {
+        Journal {
+            storage,
+            wire: WireDict::default(),
+            wal: WalWriter::new(wal_name(0), 1, options.group_commit),
+            declared_graphs: 0,
+            hold: false,
+            options,
+            fault_plan: None,
+            observability: None,
+            stats: DurabilityStats::default(),
+        }
+    }
+
     fn check_fault(&self, target: &str) -> Result<(), DurabilityError> {
         if let Some(plan) = &self.fault_plan {
             plan.check(target)
@@ -201,65 +235,52 @@ impl Journal {
         self.fault_plan.as_ref().map(|p| p.clock().now_ms())
     }
 
-    fn append(&mut self, record: &Record) -> bool {
-        self.records_total += 1;
-        let (_, due) = self.wal.append(record);
-        due
-    }
-
-    /// Declares store graphs the log has not seen yet. Ids are Vec
-    /// indexes, so declaring in order keeps wire gid == store gid.
-    fn declare_graphs(&mut self, store: &Store) {
-        while self.declared_graphs < store.graph_count() {
-            let gid = self.declared_graphs as u16;
-            let name = store
-                .graph_name(GraphId(gid))
-                .expect("graph ids are dense")
-                .to_string();
-            self.append(&Record::GraphDecl { gid, name });
-            self.declared_graphs += 1;
-        }
-    }
-
-    fn wire_id(&mut self, term: &Term) -> u64 {
-        let (id, new) = self.wire.intern(term);
-        if new {
-            self.append(&Record::DictAdd {
-                id,
-                term: term.clone(),
-            });
-        }
-        id
-    }
-
-    /// Journals one acknowledged mutation (plus any graph/dictionary
-    /// records it depends on), flushing when the group-commit policy
-    /// says the batch is due.
-    fn log(
-        &mut self,
-        store: &Store,
-        triple: &Triple,
-        graph: Option<GraphId>,
-    ) -> Result<(), DurabilityError> {
-        self.declare_graphs(store);
-        let s = self.wire_id(&triple.subject);
-        let p = self.wire_id(&Term::Iri(triple.predicate.clone()));
-        let o = self.wire_id(&triple.object);
-        let record = match graph {
-            Some(gid) => Record::Insert {
-                s,
-                p,
-                o,
-                gid: gid.0,
-            },
-            None => Record::Remove { s, p, o },
+    /// Appends one applied commit, with the graphs (in order, so wire
+    /// gid == store gid) and terms it introduces; returns flush-due.
+    fn append_commit(&mut self, store: &Store, delta: &Delta, meta: &[u8]) -> bool {
+        let graphs = (self.declared_graphs..store.graph_count())
+            .map(|gid| {
+                let name = store
+                    .graph_name(GraphId(gid as u16))
+                    .expect("graph ids are dense");
+                (gid as u16, name.to_string())
+            })
+            .collect();
+        self.declared_graphs = store.graph_count();
+        let mut terms = Vec::new();
+        let mut wire = |term: &Term| {
+            let (id, new) = self.wire.intern(term);
+            if new {
+                terms.push((id, term.clone()));
+            }
+            id
         };
-        let due = self.append(&record);
-        if due {
-            self.flush()?;
-            self.maybe_auto_snapshot(store)?;
-        }
-        Ok(())
+        let mut spo = |t: &Triple| {
+            (
+                wire(&t.subject),
+                wire(&Term::Iri(t.predicate.clone())),
+                wire(&t.object),
+            )
+        };
+        let removes = delta.removes.iter().map(&mut spo).collect();
+        let inserts = delta
+            .inserts
+            .iter()
+            .map(|(t, g)| {
+                let (s, p, o) = spo(t);
+                (s, p, o, g.0)
+            })
+            .collect();
+        self.stats.records_journaled += 1;
+        let record = Record::Commit {
+            graphs,
+            terms,
+            inserts,
+            removes,
+            meta: meta.to_vec(),
+            held: self.hold,
+        };
+        self.wal.append(&record).1
     }
 
     /// Times a durability barrier into the named histogram (and keeps
@@ -295,33 +316,39 @@ impl Journal {
         self.timed("wal.flush", |journal| {
             journal.check_fault(TARGET_WAL_FLUSH)?;
             journal.wal.flush(journal.storage.as_mut())?;
-            journal.flushes_total += 1;
+            journal.stats.flushes += 1;
             Ok(())
         })
     }
 
-    fn maybe_auto_snapshot(&mut self, store: &Store) -> Result<(), DurabilityError> {
-        if let Some(every) = self.options.snapshot_every_records {
-            if self.wal.records >= every {
-                self.snapshot(store)?;
-            }
+    /// The barrier, then compaction once the WAL holds the configured
+    /// number of commits.
+    fn flush_and_compact(&mut self, store: &Store) -> Result<(), DurabilityError> {
+        self.flush()?;
+        match self.options.snapshot_every_records {
+            Some(every) if self.wal.records >= every => self.snapshot(store),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Log compaction: writes generation `g+1` (snapshot + empty WAL)
     /// and only then deletes generation `g`. Every intermediate crash
     /// point recovers — either to the old generation (new snapshot not
-    /// yet durable) or to the new one.
+    /// yet durable) or to the new one. A no-op while compaction is
+    /// held.
     fn snapshot(&mut self, store: &Store) -> Result<(), DurabilityError> {
+        if self.hold {
+            return Ok(());
+        }
         self.timed("wal.snapshot", |journal| journal.snapshot_inner(store))
     }
 
     fn snapshot_inner(&mut self, store: &Store) -> Result<(), DurabilityError> {
         self.flush()?;
         self.check_fault(TARGET_SNAPSHOT_WRITE)?;
-        let next = self.generation + 1;
-        let (bytes, wire_terms) = encode_snapshot(store, self.wal.last_seq());
+        let next = self.stats.generation + 1;
+        let metas = stored_metas(self.storage.as_ref(), self.stats.generation)?;
+        let (bytes, wire_terms) = encode_snapshot(store, self.wal.next_seq() - 1, &metas);
         let snap = snap_name(next);
         self.storage.create(&snap)?;
         self.storage.append(&snap, &bytes)?;
@@ -332,31 +359,25 @@ impl Journal {
         // The new generation is durable; dropping the old one is now
         // safe (and losing the deletes to a crash is harmless — open
         // prefers the highest valid generation).
-        self.storage.delete(&snap_name(self.generation)).ok();
-        self.storage.delete(&wal_name(self.generation)).ok();
+        self.storage.delete(&snap_name(self.stats.generation)).ok();
+        self.storage.delete(&wal_name(self.stats.generation)).ok();
         let next_seq = self.wal.next_seq();
         let policy = self.wal.policy();
         self.wal = WalWriter::new(wal, next_seq, policy);
         self.wire = WireDict::from_terms(wire_terms);
         self.declared_graphs = store.graph_count();
-        self.generation = next;
-        self.snapshots_written += 1;
-        self.last_snapshot_ms = self.now_ms();
+        self.stats.generation = next;
+        self.stats.snapshots_written += 1;
+        self.stats.last_snapshot_ms = self.now_ms();
         Ok(())
     }
 
     fn stats(&self) -> DurabilityStats {
         DurabilityStats {
-            generation: self.generation,
             wal_records: self.wal.records,
             wal_bytes: self.wal.bytes,
             wal_pending: self.wal.pending(),
-            flushes: self.flushes_total,
-            records_journaled: self.records_total,
-            snapshots_written: self.snapshots_written,
-            last_snapshot_ms: self.last_snapshot_ms,
-            records_replayed: self.records_replayed,
-            tail_dropped_bytes: self.tail_dropped_bytes,
+            ..self.stats.clone()
         }
     }
 }
@@ -403,45 +424,18 @@ impl DurableStore {
         for name in storage.list() {
             storage.delete(&name).ok();
         }
+        // Adoption is the first compaction: generation 0 has no files,
+        // and writing generation 1 snapshots the bootstrap store.
         let store = bootstrap();
-        let generation = 1u64;
-        let (bytes, wire_terms) = encode_snapshot(&store, 0);
-        let snap = snap_name(generation);
-        storage.create(&snap)?;
-        storage.append(&snap, &bytes)?;
-        storage.flush(&snap)?;
-        let wal = wal_name(generation);
-        storage.create(&wal)?;
-        storage.flush(&wal)?;
-        let journal = Journal {
-            storage,
-            wire: WireDict::from_terms(wire_terms),
-            wal: WalWriter::new(wal, 1, options.group_commit),
-            generation,
-            declared_graphs: store.graph_count(),
-            options,
-            fault_plan: None,
-            observability: None,
-            snapshots_written: 1,
-            last_snapshot_ms: None,
-            records_replayed: 0,
-            tail_dropped_bytes: 0,
-            flushes_total: 0,
-            records_total: 0,
-        };
+        let mut journal = Journal::new(storage, options);
+        journal.snapshot_inner(&store)?;
         let report = RecoveryReport {
-            recovered: false,
-            generation,
+            generation: journal.stats.generation,
             snapshot_triples: store.len() as u64,
             ..RecoveryReport::default()
         };
-        Ok((
-            DurableStore {
-                store,
-                journal: Some(journal),
-            },
-            report,
-        ))
+        let journal = Some(journal);
+        Ok((DurableStore { store, journal }, report))
     }
 
     /// Read access to the underlying store (query engines, exports).
@@ -449,94 +443,106 @@ impl DurableStore {
         &self.store
     }
 
-    /// Consumes the wrapper, returning the in-memory store.
-    pub fn into_store(self) -> Store {
-        self.store
-    }
-
-    /// Whether mutations are journaled.
-    pub fn is_durable(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Registers (or retrieves) a named graph; journaled lazily with
-    /// the next mutation that needs it.
+    /// the next commit that needs it.
     pub fn graph(&mut self, name: &str) -> GraphId {
         self.store.graph(name)
     }
 
-    /// Inserts one triple. In durable mode the mutation is journaled;
-    /// an `Err` means the record is appended but **not acknowledged**
-    /// (the in-memory store already holds it, and a later successful
-    /// [`DurableStore::flush`] will acknowledge it).
-    pub fn insert(&mut self, triple: &Triple, graph: GraphId) -> Result<bool, DurabilityError> {
-        let new = self.store.insert(triple, graph);
-        if new {
-            if let Some(journal) = self.journal.as_mut() {
-                journal.log(&self.store, triple, Some(graph))?;
+    /// Applies `delta` — removes, then inserts — and narrows it to the
+    /// statements that changed the store. In durable mode the narrowed
+    /// delta and `meta` are appended as one WAL record (none when both
+    /// are empty), flushed when the group-commit batch is due. An `Err`
+    /// means the record is appended but **not acknowledged**: store and
+    /// `delta` reflect the commit, and a later successful
+    /// [`DurableStore::flush`] acknowledges it.
+    pub fn commit(&mut self, delta: &mut Delta, meta: &[u8]) -> Result<(), DurabilityError> {
+        let store = &mut self.store;
+        delta.removes.retain(|triple| store.remove(triple));
+        delta
+            .inserts
+            .retain(|(triple, graph)| store.insert(triple, *graph));
+        match self.journal.as_mut() {
+            Some(journal) if !(delta.is_empty() && meta.is_empty()) => {
+                if journal.append_commit(&self.store, delta, meta) {
+                    journal.flush_and_compact(&self.store)?;
+                }
+                Ok(())
             }
+            _ => Ok(()),
         }
-        Ok(new)
     }
 
-    /// Inserts many triples into one graph; returns how many were new.
+    /// Inserts one triple as a one-record commit.
+    pub fn insert(&mut self, triple: &Triple, graph: GraphId) -> Result<bool, DurabilityError> {
+        Ok(self.insert_all([triple], graph)? == 1)
+    }
+
+    /// Inserts many triples into one graph as a one-record commit;
+    /// returns how many were new.
     pub fn insert_all<'a>(
         &mut self,
         triples: impl IntoIterator<Item = &'a Triple>,
         graph: GraphId,
     ) -> Result<usize, DurabilityError> {
-        let mut added = 0;
-        for triple in triples {
-            if self.insert(triple, graph)? {
-                added += 1;
-            }
-        }
-        Ok(added)
+        let inserts = triples.into_iter().map(|t| (t.clone(), graph)).collect();
+        let mut delta = Delta {
+            inserts,
+            removes: Vec::new(),
+        };
+        self.commit(&mut delta, &[])?;
+        Ok(delta.inserts.len())
     }
 
-    /// Removes one triple (journaled like inserts).
+    /// Removes one triple as a one-record commit.
     pub fn remove(&mut self, triple: &Triple) -> Result<bool, DurabilityError> {
-        let removed = self.store.remove(triple);
-        if removed {
-            if let Some(journal) = self.journal.as_mut() {
-                journal.log(&self.store, triple, None)?;
-            }
-        }
-        Ok(removed)
+        Ok(self.remove_all(vec![triple.clone()])? == 1)
     }
 
-    /// Removes every `(subject, predicate, *)` statement; returns how
-    /// many were removed.
+    /// Removes every `(subject, predicate, *)` statement as a one-record
+    /// commit; returns how many were removed.
     pub fn remove_pattern_sp(
         &mut self,
         subject: &Term,
         predicate: &Iri,
     ) -> Result<usize, DurabilityError> {
-        let matches = self.store.match_terms(Some(subject), Some(predicate), None);
-        let mut removed = 0;
-        for triple in &matches {
-            if self.remove(triple)? {
-                removed += 1;
-            }
-        }
-        Ok(removed)
+        self.remove_all(self.store.match_terms(Some(subject), Some(predicate), None))
     }
 
-    /// Forces the durability barrier: every journaled record is
-    /// acknowledged once this returns `Ok`.
+    fn remove_all(&mut self, removes: Vec<Triple>) -> Result<usize, DurabilityError> {
+        let mut delta = Delta {
+            inserts: Vec::new(),
+            removes,
+        };
+        self.commit(&mut delta, &[])?;
+        Ok(delta.removes.len())
+    }
+
+    /// Forces the durability barrier — every commit so far is
+    /// acknowledged once this returns `Ok` — then compacts if the WAL
+    /// has reached the snapshot threshold.
     pub fn flush(&mut self) -> Result<(), DurabilityError> {
         match self.journal.as_mut() {
-            Some(journal) => journal.flush(),
+            Some(journal) => journal.flush_and_compact(&self.store),
             None => Ok(()),
         }
     }
 
     /// Forces log compaction: writes a fresh snapshot generation and
-    /// truncates the WAL.
+    /// truncates the WAL. A no-op while compaction is held.
     pub fn snapshot(&mut self) -> Result<(), DurabilityError> {
         match self.journal.as_mut() {
             Some(journal) => journal.snapshot(&self.store),
             None => Ok(()),
+        }
+    }
+
+    /// Holds (or releases) compaction for a consumer that must re-read
+    /// the WAL tail after a crash: commits appended while held come
+    /// back with their deltas in [`RecoveryReport::commits`].
+    pub fn hold_compaction(&mut self, hold: bool) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.hold = hold;
         }
     }
 
@@ -555,29 +561,6 @@ impl DurableStore {
     /// The current group-commit policy (`None` in ephemeral mode).
     pub fn group_commit(&self) -> Option<GroupCommitPolicy> {
         self.journal.as_ref().map(|journal| journal.wal.policy())
-    }
-
-    /// Runs `f` under a temporarily swapped group-commit policy and
-    /// restores the previous one afterwards, ending with an explicit
-    /// durability barrier. Batched ingest uses this to amortize WAL
-    /// flushes across a whole batch of commits while leaving the
-    /// caller's per-mutation policy untouched — and because the barrier
-    /// runs before returning, a batch is exactly as durable at its end
-    /// as the same mutations issued one by one. In ephemeral mode `f`
-    /// simply runs.
-    pub fn with_group_commit<T>(
-        &mut self,
-        policy: GroupCommitPolicy,
-        f: impl FnOnce(&mut DurableStore) -> T,
-    ) -> Result<T, DurabilityError> {
-        let prior = self.group_commit();
-        self.set_group_commit(policy);
-        let out = f(self);
-        if let Some(prior) = prior {
-            self.set_group_commit(prior);
-            self.flush()?;
-        }
-        Ok(out)
     }
 
     /// Attaches a metrics registry: successful durability barriers are
@@ -606,17 +589,13 @@ impl DurableStore {
     }
 }
 
-struct LoadedState {
-    image: SnapshotImage,
-    generation: u64,
-    generations_skipped: u64,
-    wal_records: Vec<(u64, Record)>,
-    tail: TailReport,
-}
+/// The highest valid generation — its number, the invalid generations
+/// skipped above it, its snapshot image, its WAL records and the tail
+/// diagnosis — or `None` when the storage holds no usable snapshot
+/// (fresh / failed first adoption).
+type Loaded = (u64, u64, SnapshotImage, Vec<(u64, Record)>, TailReport);
 
-/// Finds the highest valid generation, or `None` when the storage
-/// holds no usable snapshot (fresh / failed first adoption).
-fn try_load(storage: &dyn Storage) -> Result<Option<LoadedState>, DurabilityError> {
+fn try_load(storage: &dyn Storage) -> Result<Option<Loaded>, DurabilityError> {
     let mut generations: Vec<u64> = storage
         .list()
         .iter()
@@ -624,31 +603,19 @@ fn try_load(storage: &dyn Storage) -> Result<Option<LoadedState>, DurabilityErro
         .collect();
     generations.sort_unstable();
     generations.reverse();
-    let mut skipped = 0u64;
-    for generation in generations {
-        let bytes = storage.read(&snap_name(generation))?;
-        let image = match decode_snapshot(&bytes) {
-            Ok(image) => image,
-            Err(_) => {
-                // Torn snapshot (crash mid-compaction): fall back to
-                // the previous generation, which compaction ordering
-                // guarantees is still intact.
-                skipped += 1;
-                continue;
-            }
+    for (skipped, generation) in generations.into_iter().enumerate() {
+        // A torn snapshot (crash mid-compaction) falls back to the
+        // previous generation, which compaction ordering guarantees is
+        // still intact.
+        let Ok(image) = decode_snapshot(&storage.read(&snap_name(generation))?) else {
+            continue;
         };
         // A read error means the crash hit after the snapshot flush
         // but before the WAL file creation was durable: an empty WAL
         // is the correct view.
         let wal_bytes = storage.read(&wal_name(generation)).unwrap_or_default();
         let (wal_records, tail) = scan_log(&wal_bytes);
-        return Ok(Some(LoadedState {
-            image,
-            generation,
-            generations_skipped: skipped,
-            wal_records,
-            tail,
-        }));
+        return Ok(Some((generation, skipped as u64, image, wal_records, tail)));
     }
     Ok(None)
 }
@@ -658,16 +625,8 @@ fn try_load(storage: &dyn Storage) -> Result<Option<LoadedState>, DurabilityErro
 fn finish_open(
     mut storage: Box<dyn Storage>,
     options: DurabilityOptions,
-    loaded: LoadedState,
+    (generation, generations_skipped, image, wal_records, tail): Loaded,
 ) -> Result<(DurableStore, RecoveryReport), DurabilityError> {
-    let LoadedState {
-        image,
-        generation,
-        generations_skipped,
-        wal_records,
-        tail,
-    } = loaded;
-
     let corrupt = |what: String| DurabilityError::Unrecoverable(what);
 
     // 1. Snapshot image → store. Graph ids are re-registered in
@@ -688,44 +647,61 @@ fn finish_open(
         store.insert(&triple, graph);
     }
 
-    // 2. Replay the WAL tail. Records at or below the snapshot's
+    // 2. Replay the WAL tail. Commits at or below the snapshot's
     //    last_seq are already folded in (compaction flushed them);
     //    only strictly newer sequences mutate the store.
+    let folded = |meta| RecoveredCommit { meta, delta: None };
+    let mut commits: Vec<RecoveredCommit> = image.metas.into_iter().map(folded).collect();
     let mut replayed = 0u64;
     let mut last_seq = image.last_seq;
     for (seq, record) in wal_records {
         if seq <= image.last_seq {
             continue;
         }
+        let Record::Commit {
+            graphs,
+            terms,
+            inserts,
+            removes,
+            meta,
+            held,
+        } = record
+        else {
+            return Err(corrupt(format!("wal record {seq} is not a commit")));
+        };
         last_seq = last_seq.max(seq);
         replayed += 1;
-        match record {
-            Record::GraphDecl { gid, name } => {
-                gid_map.insert(gid, store.graph(&name));
+        for (gid, name) in graphs {
+            gid_map.insert(gid, store.graph(&name));
+        }
+        for (id, term) in terms {
+            if id != wire.terms.len() as u64 {
+                return Err(corrupt(format!(
+                    "wal dictionary id {id} out of order (expected {})",
+                    wire.terms.len()
+                )));
             }
-            Record::DictAdd { id, term } => {
-                if id != wire.len() as u64 {
-                    return Err(corrupt(format!(
-                        "wal dictionary id {id} out of order (expected {})",
-                        wire.len()
-                    )));
-                }
-                wire.intern(&term);
-            }
-            Record::Insert { s, p, o, gid } => {
-                let triple = resolve_triple(&wire, s, p, o)?;
-                let graph = *gid_map
-                    .get(&gid)
-                    .ok_or_else(|| corrupt(format!("wal references unknown graph {gid}")))?;
-                store.insert(&triple, graph);
-            }
-            Record::Remove { s, p, o } => {
-                let triple = resolve_triple(&wire, s, p, o)?;
-                store.remove(&triple);
-            }
-            Record::SnapshotHeader { .. } | Record::SnapshotFooter { .. } => {
-                return Err(corrupt("snapshot frame inside a WAL".into()));
-            }
+            wire.intern(&term);
+        }
+        let mut delta = Delta::default();
+        for (s, p, o) in removes {
+            let triple = resolve_triple(&wire, s, p, o)?;
+            store.remove(&triple);
+            delta.removes.push(triple);
+        }
+        for (s, p, o, gid) in inserts {
+            let triple = resolve_triple(&wire, s, p, o)?;
+            let graph = *gid_map
+                .get(&gid)
+                .ok_or_else(|| corrupt(format!("wal references unknown graph {gid}")))?;
+            store.insert(&triple, graph);
+            delta.inserts.push((triple, graph));
+        }
+        if !meta.is_empty() {
+            commits.push(RecoveredCommit {
+                meta,
+                delta: held.then_some(delta),
+            });
         }
     }
 
@@ -744,23 +720,14 @@ fn finish_open(
         }
     }
 
-    let declared_graphs = store.graph_count();
-    let journal = Journal {
-        storage,
-        wire,
-        wal: WalWriter::new(wal_name(generation), last_seq + 1, options.group_commit),
-        generation,
-        declared_graphs,
-        options,
-        fault_plan: None,
-        observability: None,
-        snapshots_written: 0,
-        last_snapshot_ms: None,
-        records_replayed: replayed,
-        tail_dropped_bytes: tail.dropped_bytes,
-        flushes_total: 0,
-        records_total: 0,
-    };
+    let mut journal = Journal::new(storage, options);
+    journal.wal = WalWriter::new(wal_name(generation), last_seq + 1, options.group_commit);
+    journal.wal.records = replayed; // the threshold counts the whole tail
+    journal.wire = wire;
+    journal.declared_graphs = store.graph_count();
+    journal.stats.generation = generation;
+    journal.stats.records_replayed = replayed;
+    journal.stats.tail_dropped_bytes = tail.dropped_bytes;
     let report = RecoveryReport {
         recovered: true,
         generation,
@@ -768,6 +735,7 @@ fn finish_open(
         wal_records_replayed: replayed,
         tail,
         generations_skipped,
+        commits,
     };
     Ok((
         DurableStore {
@@ -778,9 +746,29 @@ fn finish_open(
     ))
 }
 
+/// The non-empty metas generation `g` keeps — its snapshot's meta
+/// section, then its WAL's commits (none before adoption) — read back
+/// at compaction, so the engine holds none in memory.
+fn stored_metas(storage: &dyn Storage, generation: u64) -> Result<Vec<Vec<u8>>, DurabilityError> {
+    let mut metas = Vec::new();
+    let files = (generation > 0).then(|| [snap_name(generation), wal_name(generation)]);
+    for name in files.iter().flatten() {
+        let bytes = storage.read(name)?;
+        let mut offset = 0;
+        while let FrameOutcome::Frame { record, next, .. } = read_frame(&bytes, offset) {
+            if let Record::Commit { meta, .. } = record {
+                metas.extend((!meta.is_empty()).then_some(meta));
+            }
+            offset = next;
+        }
+    }
+    Ok(metas)
+}
+
 fn resolve_triple(wire: &WireDict, s: u64, p: u64, o: u64) -> Result<Triple, DurabilityError> {
     let lookup = |id: u64| -> Result<&Term, DurabilityError> {
-        wire.term(id)
+        wire.terms
+            .get(id as usize)
             .ok_or_else(|| DurabilityError::Unrecoverable(format!("unknown wire term id {id}")))
     };
     let subject = lookup(s)?.clone();
@@ -826,54 +814,11 @@ mod tests {
     }
 
     #[test]
-    fn with_group_commit_swaps_policy_and_flushes_on_exit() {
-        let mem = MemStorage::new();
-        let (mut engine, _) = open_mem(&mem);
-        engine.set_group_commit(GroupCommitPolicy::per_record());
-        let prior = engine.group_commit().unwrap();
-
-        let graph = engine.graph("ugc");
-        engine
-            .with_group_commit(GroupCommitPolicy::batched(1024), |engine| {
-                for n in 0..8 {
-                    engine.insert(&label(n), graph).unwrap();
-                }
-                // A large batch: nothing forced a flush mid-closure.
-                assert!(engine.stats().unwrap().wal_pending > 0);
-            })
-            .unwrap();
-
-        // The prior policy is back and the barrier ran.
-        assert_eq!(engine.group_commit(), Some(prior));
-        assert_eq!(engine.stats().unwrap().wal_pending, 0);
-
-        // Everything the closure wrote survives a crash.
-        mem.crash();
-        let (recovered, report) = open_mem(&mem);
-        assert!(report.recovered);
-        assert_eq!(recovered.store().len(), 8);
-    }
-
-    #[test]
-    fn with_group_commit_is_a_plain_call_in_ephemeral_mode() {
-        let mut engine = DurableStore::ephemeral(Store::new());
-        assert_eq!(engine.group_commit(), None);
-        let graph = engine.graph("ugc");
-        let n = engine
-            .with_group_commit(GroupCommitPolicy::batched(64), |engine| {
-                engine.insert(&label(1), graph).unwrap()
-            })
-            .unwrap();
-        assert!(n, "the insert is new");
-        assert_eq!(engine.store().len(), 1);
-    }
-
-    #[test]
     fn fresh_open_starts_empty_and_unrecovered() {
         let mem = MemStorage::new();
         let (engine, report) = open_mem(&mem);
         assert!(!report.recovered);
-        assert!(engine.is_durable());
+        assert!(engine.stats().is_some(), "durable");
         assert_eq!(engine.store().len(), 0);
     }
 
@@ -1002,7 +947,7 @@ mod tests {
         engine.flush().unwrap();
         // Hand-craft the mid-compaction state: a torn snap-2 exists,
         // generation 1 is still intact.
-        let (full_snap, _) = encode_snapshot(engine.store(), 99);
+        let (full_snap, _) = encode_snapshot(engine.store(), 99, &[]);
         mem.plant("snap-0000000002", full_snap[..full_snap.len() / 2].to_vec());
         drop(engine);
         let (recovered, report) = open_mem(&mem);
@@ -1033,6 +978,90 @@ mod tests {
         assert_eq!(recovered.store().len(), 40);
     }
 
+    /// A commit is one record whatever its size, its meta comes back
+    /// from recovery — with its delta while it is in the WAL tail and
+    /// was appended under a hold — and a crash inside the record loses
+    /// the whole commit.
+    #[test]
+    fn a_commit_is_one_record_and_its_meta_survives_compaction() {
+        let mem = MemStorage::new();
+        let options = DurabilityOptions {
+            group_commit: GroupCommitPolicy::per_record(),
+            snapshot_every_records: None,
+        };
+        let (mut engine, _) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
+        let g = engine.graph("urn:g:ugc");
+        let mut first = Delta {
+            inserts: (0..5).map(|n| (label(n), g)).collect(),
+            removes: Vec::new(),
+        };
+        engine.commit(&mut first, b"one").unwrap();
+        engine.snapshot().unwrap();
+        engine.hold_compaction(true);
+        let mut second = Delta {
+            inserts: vec![(label(0), g), (geo(0), g)],
+            removes: vec![label(1)],
+        };
+        engine.commit(&mut second, b"two").unwrap();
+        // Narrowed to what changed: label(0) was already there.
+        assert_eq!(second.inserts, vec![(geo(0), g)]);
+        assert_eq!(engine.stats().unwrap().records_journaled, 2);
+
+        let (recovered, report) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
+        assert_eq!(recovered.store().len(), 5);
+        assert_eq!(report.wal_records_replayed, 1);
+        let folded = RecoveredCommit {
+            meta: b"one".to_vec(),
+            delta: None,
+        };
+        let tail = RecoveredCommit {
+            meta: b"two".to_vec(),
+            delta: Some(second),
+        };
+        assert_eq!(report.commits, vec![folded.clone(), tail]);
+
+        // Cut the WAL inside its only record: the commit is gone whole.
+        let wal = mem.read("wal-0000000002").unwrap();
+        mem.plant("wal-0000000002", wal[..wal.len() - 1].to_vec());
+        let (torn, report) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
+        assert_eq!(torn.store().len(), 5);
+        assert!(torn.store().contains(&label(1)));
+        assert_eq!(report.commits, vec![folded]);
+    }
+
+    /// The threshold is checked at every flush, not only when a batch
+    /// fills, and a hold defers compaction until released.
+    #[test]
+    fn flush_compacts_at_the_threshold_unless_held() {
+        let mem = MemStorage::new();
+        let options = DurabilityOptions {
+            group_commit: GroupCommitPolicy::batched(64),
+            snapshot_every_records: Some(3),
+        };
+        let (mut engine, _) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
+        let g = engine.graph("urn:g:ugc");
+        for n in 0..7 {
+            engine.insert(&label(n), g).unwrap();
+            engine.flush().unwrap();
+        }
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.generation, stats.wal_records), (3, 1));
+        mem.crash();
+        let (_, report) = DurableStore::open(Box::new(mem.clone()), options).unwrap();
+        assert!(report.wal_records_replayed <= 3);
+
+        engine.hold_compaction(true);
+        for n in 7..12 {
+            engine.insert(&label(n), g).unwrap();
+            engine.flush().unwrap();
+        }
+        engine.snapshot().unwrap();
+        assert_eq!(engine.stats().unwrap().generation, 3, "held");
+        engine.hold_compaction(false);
+        engine.flush().unwrap();
+        assert_eq!(engine.stats().unwrap().generation, 4);
+    }
+
     #[test]
     fn fault_plan_blocks_flush_and_keeps_records_pending() {
         let mem = MemStorage::new();
@@ -1049,8 +1078,9 @@ mod tests {
         assert!(matches!(err, DurabilityError::Unavailable(_)));
         // In-memory applied, durability pending.
         assert!(engine.store().contains(&label(0)));
-        // GraphDecl + 3 DictAdds + Insert, all buffered awaiting retry.
-        assert_eq!(engine.stats().unwrap().wal_pending, 5);
+        // One commit record (graph, terms and insert), buffered
+        // awaiting retry.
+        assert_eq!(engine.stats().unwrap().wal_pending, 1);
         // After the outage window the retry acknowledges everything.
         clock.set(2_000);
         engine.flush().unwrap();
@@ -1094,7 +1124,6 @@ mod tests {
         let mut engine = DurableStore::ephemeral(Store::new());
         let g = engine.graph("urn:g:ugc");
         assert!(engine.insert(&label(0), g).unwrap());
-        assert!(!engine.is_durable());
         assert!(engine.stats().is_none());
         engine.flush().unwrap();
         engine.snapshot().unwrap();

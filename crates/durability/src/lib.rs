@@ -6,10 +6,11 @@
 //! server restart. The reproduction's in-memory [`Store`] had no such
 //! story until now. This crate adds one, built from scratch on `std`:
 //!
-//! * [`codec`] — a compact binary codec for dictionary entries and
-//!   `(s, p, o, graph)` statements, framed as length-prefixed,
+//! * [`codec`] — a compact binary codec: one `Commit` record per
+//!   commit (its new dictionary entries, its `(s, p, o, graph)` delta
+//!   and an opaque caller meta), framed as length-prefixed,
 //!   CRC32-checked records; the same framing is exposed for opaque
-//!   payloads so sibling journals (e.g. `core::replication` emission
+//!   payloads so sibling journals (e.g. `core::replication` replica
 //!   logs) inherit torn-tail and bit-flip detection;
 //! * [`storage`] — an append-only file abstraction with an explicit
 //!   durability barrier; [`MemStorage`] models the durable/volatile
@@ -20,12 +21,13 @@
 //!   scanner;
 //! * [`snapshot`] — all-or-nothing snapshot segments for log
 //!   compaction;
-//! * [`engine`] — [`DurableStore`]: journaled mutations, periodic
+//! * [`engine`] — [`DurableStore`]: one-record commits, periodic
 //!   compaction into generation files, and [`DurableStore::open`] /
 //!   [`DurableStore::open_or_adopt`] recovery that rebuilds the store
 //!   (triple indexes, fulltext, geo, stats) to exactly the last
-//!   acknowledged state. The engine is owned by its single writer;
-//!   readers pin `engine.store().snapshot()`.
+//!   acknowledged commit and returns every commit's meta. The engine
+//!   is owned by its single writer; readers pin
+//!   `engine.store().snapshot()`.
 //!
 //! Durability barriers honor `lodify-resilience` fault plans via the
 //! [`TARGET_WAL_FLUSH`] and [`TARGET_SNAPSHOT_WRITE`] targets, so
@@ -47,8 +49,8 @@ pub mod wal;
 
 pub use codec::Record;
 pub use engine::{
-    DurabilityOptions, DurabilityStats, DurableStore, RecoveryReport, TARGET_SNAPSHOT_WRITE,
-    TARGET_WAL_FLUSH,
+    Delta, DurabilityOptions, DurabilityStats, DurableStore, RecoveredCommit, RecoveryReport,
+    TARGET_SNAPSHOT_WRITE, TARGET_WAL_FLUSH,
 };
 pub use error::DurabilityError;
 pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotImage};

@@ -1,8 +1,9 @@
 //! Snapshot segments: a compact, self-contained image of the store.
 //!
 //! A snapshot is a stream of codec frames — header, graph
-//! declarations, dictionary entries, insert records, footer — written
-//! as one segment. Validity is structural: the segment must parse
+//! declarations, dictionary entries, insert records, the metas of every
+//! commit folded in (as delta-free [`Record::Commit`] frames), footer —
+//! written as one segment. Validity is structural: the segment must parse
 //! frame-by-frame to a footer whose counters match the header. A
 //! crash mid-snapshot therefore leaves an *invalid* segment and
 //! recovery falls back to the previous generation, whose files are
@@ -32,13 +33,15 @@ pub struct SnapshotImage {
     pub terms: Vec<Term>,
     /// Statements as `(s, p, o, gid)` wire ids.
     pub triples: Vec<(u64, u64, u64, u16)>,
+    /// The non-empty metas of the commits folded in, in commit order.
+    pub metas: Vec<Vec<u8>>,
 }
 
 /// Encodes the full store as a snapshot segment covering journal
-/// records up to `last_seq`. Returns the segment bytes and the wire
-/// dictionary (terms in wire-id order) the tail journal continues
-/// from.
-pub fn encode_snapshot(store: &Store, last_seq: u64) -> (Vec<u8>, Vec<Term>) {
+/// records up to `last_seq`, carrying the `metas` of the commits it
+/// folds in. Returns the segment bytes and the wire dictionary (terms
+/// in wire-id order) the tail journal continues from.
+pub fn encode_snapshot(store: &Store, last_seq: u64, metas: &[Vec<u8>]) -> (Vec<u8>, Vec<Term>) {
     // Pass 1: wire-intern every term reachable from a statement, in
     // first-use order, so ids are dense and the dictionary section is
     // exactly the terms the triple section references.
@@ -67,41 +70,41 @@ pub fn encode_snapshot(store: &Store, last_seq: u64) -> (Vec<u8>, Vec<Term>) {
 
     // Pass 2: emit frames. Snapshot frames carry seq 0 — ordering
     // within the segment is positional, not sequential.
+    let header = Record::SnapshotHeader {
+        last_seq,
+        graphs: graphs.len() as u64,
+        terms: wire_terms.len() as u64,
+        triples: triples.len() as u64,
+        commits: metas.len() as u64,
+    };
+    let graphs = graphs
+        .iter()
+        .enumerate()
+        .map(|(gid, name)| Record::GraphDecl {
+            gid: gid as u16,
+            name: (*name).to_string(),
+        });
+    let dictionary = wire_terms
+        .iter()
+        .enumerate()
+        .map(|(id, term)| Record::DictAdd {
+            id: id as u64,
+            term: term.clone(),
+        });
+    let inserts = triples
+        .iter()
+        .map(|&(s, p, o, gid)| Record::Insert { s, p, o, gid });
+    let metas = metas.iter().map(|meta| Record::meta_only(meta.clone()));
     let mut out = Vec::new();
     let mut records = 0u64;
-    let mut emit = |out: &mut Vec<u8>, record: &Record| {
-        put_frame(out, 0, record);
+    for record in std::iter::once(header)
+        .chain(graphs)
+        .chain(dictionary)
+        .chain(inserts)
+        .chain(metas)
+    {
+        put_frame(&mut out, 0, &record);
         records += 1;
-    };
-    emit(
-        &mut out,
-        &Record::SnapshotHeader {
-            last_seq,
-            graphs: graphs.len() as u64,
-            terms: wire_terms.len() as u64,
-            triples: triples.len() as u64,
-        },
-    );
-    for (gid, name) in graphs.iter().enumerate() {
-        emit(
-            &mut out,
-            &Record::GraphDecl {
-                gid: gid as u16,
-                name: (*name).to_string(),
-            },
-        );
-    }
-    for (id, term) in wire_terms.iter().enumerate() {
-        emit(
-            &mut out,
-            &Record::DictAdd {
-                id: id as u64,
-                term: term.clone(),
-            },
-        );
-    }
-    for &(s, p, o, gid) in &triples {
-        emit(&mut out, &Record::Insert { s, p, o, gid });
     }
     put_frame(&mut out, 0, &Record::SnapshotFooter { last_seq, records });
     (out, wire_terms)
@@ -131,14 +134,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotImage, DurabilityError> {
         graphs: n_graphs,
         terms: n_terms,
         triples: n_triples,
+        commits: n_commits,
     }) = next()?
     else {
         return Err(invalid("missing header"));
     };
 
-    let mut graphs = Vec::with_capacity(n_graphs as usize);
-    let mut terms = Vec::with_capacity(n_terms as usize);
-    let mut triples = Vec::with_capacity(n_triples as usize);
+    let mut graphs = Vec::with_capacity(n_graphs.min(1 << 16) as usize);
+    let mut terms = Vec::with_capacity(n_terms.min(1 << 20) as usize);
+    let mut triples = Vec::with_capacity(n_triples.min(1 << 20) as usize);
+    let mut metas = Vec::with_capacity(n_commits.min(1 << 20) as usize);
     let mut records = 1u64;
     loop {
         let record = next()?.ok_or_else(|| invalid("missing footer"))?;
@@ -171,14 +176,25 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotImage, DurabilityError> {
                 }
                 break;
             }
+            Record::Commit {
+                meta,
+                graphs,
+                terms,
+                inserts,
+                removes,
+                ..
+            } if graphs.len() + terms.len() + inserts.len() + removes.len() == 0 => {
+                metas.push(meta)
+            }
+            Record::Commit { .. } => return Err(invalid("commit delta in snapshot")),
             Record::SnapshotHeader { .. } => return Err(invalid("duplicate header")),
-            Record::Remove { .. } => return Err(invalid("remove record in snapshot")),
         }
         records += 1;
     }
     if graphs.len() as u64 != n_graphs
         || terms.len() as u64 != n_terms
         || triples.len() as u64 != n_triples
+        || metas.len() as u64 != n_commits
     {
         return Err(invalid("section counts disagree with header"));
     }
@@ -187,6 +203,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotImage, DurabilityError> {
         graphs,
         terms,
         triples,
+        metas,
     })
 }
 
@@ -220,19 +237,20 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let store = sample_store();
-        let (bytes, wire_terms) = encode_snapshot(&store, 17);
+        let (bytes, wire_terms) = encode_snapshot(&store, 17, &[b"meta".to_vec()]);
         let image = decode_snapshot(&bytes).unwrap();
         assert_eq!(image.last_seq, 17);
         assert_eq!(image.graphs[0], lodify_store::DEFAULT_GRAPH);
         assert!(image.graphs.contains(&"urn:g:ugc".to_string()));
         assert_eq!(image.terms, wire_terms);
         assert_eq!(image.triples.len(), store.len());
+        assert_eq!(image.metas, vec![b"meta".to_vec()]);
     }
 
     #[test]
     fn any_truncation_invalidates_the_segment() {
         let store = sample_store();
-        let (bytes, _) = encode_snapshot(&store, 3);
+        let (bytes, _) = encode_snapshot(&store, 3, &[]);
         for cut in [0, 1, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 decode_snapshot(&bytes[..cut]).is_err(),
@@ -245,7 +263,7 @@ mod tests {
     #[test]
     fn corruption_invalidates_the_segment() {
         let store = sample_store();
-        let (mut bytes, _) = encode_snapshot(&store, 3);
+        let (mut bytes, _) = encode_snapshot(&store, 3, &[]);
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         assert!(decode_snapshot(&bytes).is_err());
@@ -254,7 +272,7 @@ mod tests {
     #[test]
     fn empty_store_snapshots_cleanly() {
         let store = Store::new();
-        let (bytes, wire_terms) = encode_snapshot(&store, 0);
+        let (bytes, wire_terms) = encode_snapshot(&store, 0, &[]);
         assert!(wire_terms.is_empty());
         let image = decode_snapshot(&bytes).unwrap();
         assert_eq!(image.triples.len(), 0);

@@ -64,6 +64,19 @@ impl MemStorage {
         self.files.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Runs `f` on an existing file.
+    fn with_file<T>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&mut MemFile) -> T,
+    ) -> Result<T, DurabilityError> {
+        let mut files = self.lock();
+        let file = files
+            .get_mut(name)
+            .ok_or_else(|| DurabilityError::Storage(format!("no such file: {name}")))?;
+        Ok(f(file))
+    }
+
     /// Simulates a process crash: every volatile (unflushed) byte is
     /// lost; durable bytes survive.
     pub fn crash(&self) {
@@ -119,13 +132,9 @@ impl Storage for MemStorage {
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, DurabilityError> {
-        let files = self.lock();
-        let file = files
-            .get(name)
-            .ok_or_else(|| DurabilityError::Storage(format!("no such file: {name}")))?;
-        let mut out = file.durable.clone();
-        out.extend_from_slice(&file.volatile);
-        Ok(out)
+        self.with_file(name, |file| {
+            [&file.durable[..], &file.volatile[..]].concat()
+        })
     }
 
     fn create(&mut self, name: &str) -> Result<(), DurabilityError> {
@@ -134,32 +143,21 @@ impl Storage for MemStorage {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), DurabilityError> {
-        let mut files = self.lock();
-        let file = files
-            .get_mut(name)
-            .ok_or_else(|| DurabilityError::Storage(format!("no such file: {name}")))?;
-        file.volatile.extend_from_slice(bytes);
-        Ok(())
+        self.with_file(name, |file| file.volatile.extend_from_slice(bytes))
     }
 
     fn flush(&mut self, name: &str) -> Result<(), DurabilityError> {
-        let mut files = self.lock();
-        let file = files
-            .get_mut(name)
-            .ok_or_else(|| DurabilityError::Storage(format!("no such file: {name}")))?;
-        let volatile = std::mem::take(&mut file.volatile);
-        file.durable.extend_from_slice(&volatile);
-        Ok(())
+        self.with_file(name, |file| {
+            let volatile = std::mem::take(&mut file.volatile);
+            file.durable.extend_from_slice(&volatile);
+        })
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> Result<(), DurabilityError> {
-        let mut files = self.lock();
-        let file = files
-            .get_mut(name)
-            .ok_or_else(|| DurabilityError::Storage(format!("no such file: {name}")))?;
-        file.volatile.clear();
-        file.durable.truncate(len as usize);
-        Ok(())
+        self.with_file(name, |file| {
+            file.volatile.clear();
+            file.durable.truncate(len as usize);
+        })
     }
 
     fn delete(&mut self, name: &str) -> Result<(), DurabilityError> {

@@ -63,8 +63,6 @@ pub struct WalWriter {
     pub records: u64,
     /// Bytes appended to this WAL over its lifetime.
     pub bytes: u64,
-    /// Successful flush barriers issued.
-    pub flushes: u64,
 }
 
 impl WalWriter {
@@ -79,23 +77,12 @@ impl WalWriter {
             policy,
             records: 0,
             bytes: 0,
-            flushes: 0,
         }
-    }
-
-    /// The WAL file name.
-    pub fn file(&self) -> &str {
-        &self.file
     }
 
     /// Sequence number the next appended record will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Highest sequence number already handed out.
-    pub fn last_seq(&self) -> u64 {
-        self.next_seq.saturating_sub(1)
     }
 
     /// Records buffered but not yet flushed (unacknowledged).
@@ -139,7 +126,6 @@ impl WalWriter {
         storage.flush(&self.file)?;
         self.buf.clear();
         self.buffered_records = 0;
-        self.flushes += 1;
         Ok(())
     }
 }
@@ -167,44 +153,23 @@ impl TailReport {
 pub fn scan_log(bytes: &[u8]) -> (Vec<(u64, Record)>, TailReport) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    loop {
+    let (at, tail_error) = loop {
         match read_frame(bytes, offset) {
             FrameOutcome::Frame { seq, record, next } => {
                 records.push((seq, record));
                 offset = next;
             }
-            FrameOutcome::End => {
-                return (
-                    records,
-                    TailReport {
-                        valid_bytes: offset as u64,
-                        dropped_bytes: 0,
-                        tail_error: None,
-                    },
-                );
-            }
-            FrameOutcome::Truncated { at } => {
-                return (
-                    records,
-                    TailReport {
-                        valid_bytes: at as u64,
-                        dropped_bytes: (bytes.len() - at) as u64,
-                        tail_error: Some("truncated frame at tail".into()),
-                    },
-                );
-            }
-            FrameOutcome::Corrupt { at, reason } => {
-                return (
-                    records,
-                    TailReport {
-                        valid_bytes: at as u64,
-                        dropped_bytes: (bytes.len() - at) as u64,
-                        tail_error: Some(reason),
-                    },
-                );
-            }
+            FrameOutcome::End => break (offset, None),
+            FrameOutcome::Truncated { at } => break (at, Some("truncated frame at tail".into())),
+            FrameOutcome::Corrupt { at, reason } => break (at, Some(reason)),
         }
-    }
+    };
+    let report = TailReport {
+        valid_bytes: at as u64,
+        dropped_bytes: (bytes.len() - at) as u64,
+        tail_error,
+    };
+    (records, report)
 }
 
 #[cfg(test)]
@@ -237,7 +202,7 @@ mod tests {
         assert_eq!(flushes, 2, "10 records at batch 4 → 2 full batches");
         assert_eq!(wal.pending(), 2);
         wal.flush(&mut mem).unwrap();
-        assert_eq!(wal.flushes, 3);
+        assert_eq!(wal.pending(), 0);
 
         let (records, report) = scan_log(&mem.read("wal-0").unwrap());
         assert_eq!(records.len(), 10);

@@ -36,7 +36,10 @@ pub struct TermAnnotation {
     pub resource: Option<Iri>,
     /// Which graph the chosen resource came from.
     pub graph: Option<SourceGraph>,
-    /// How many raw candidates the broker produced.
+    /// How many raw broker candidates came from a graph the filter
+    /// ranks. Candidates from other graphs — UGC labels among them —
+    /// are discarded unseen, so leaving them out keeps a result
+    /// independent of what users uploaded before it.
     pub candidates_considered: usize,
     /// Survivors after filtering (>1 means ambiguous, no annotation).
     pub survivors: usize,
@@ -309,6 +312,7 @@ impl Annotator {
             .broker
             .resolve(store, &terms, input.title, term_list.language);
         let failures = output.failures.len();
+        let ranked = &self.filter.config().graph_priority;
         let annotations = output
             .terms
             .iter()
@@ -318,7 +322,11 @@ impl Annotator {
                     term: tc.term.clone(),
                     resource: outcome.chosen.as_ref().map(|c| c.resource.clone()),
                     graph: outcome.chosen.as_ref().map(|c| c.graph),
-                    candidates_considered: tc.candidates.len(),
+                    candidates_considered: tc
+                        .candidates
+                        .iter()
+                        .filter(|c| ranked.contains(&c.graph))
+                        .count(),
                     survivors: outcome.survivors.len(),
                 }
             })

@@ -71,6 +71,13 @@ impl Table {
         self.rows.get(&pk).map(Vec::as_slice)
     }
 
+    /// The key after the largest one (1 for an empty table): a commit
+    /// takes its new row's id from the rows it counts, so no separate
+    /// counter can drift from them.
+    pub fn next_key(&self) -> i64 {
+        self.rows.keys().next_back().map_or(1, |last| last + 1)
+    }
+
     /// True if the primary key exists.
     pub fn contains_key(&self, pk: i64) -> bool {
         self.rows.contains_key(&pk)
@@ -176,6 +183,17 @@ mod tests {
         }
         let keys: Vec<i64> = t.scan().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn next_key_follows_the_largest_key() {
+        let mut t = table();
+        assert_eq!(t.next_key(), 1);
+        for id in [5, 1, 3] {
+            t.insert(vec![id.into(), "x".into(), SqlValue::Null])
+                .unwrap();
+        }
+        assert_eq!(t.next_key(), 6);
     }
 
     #[test]

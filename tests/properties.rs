@@ -618,10 +618,33 @@ fn any_term(rng: &mut DetRng) -> Term {
     }
 }
 
+fn any_list<T>(rng: &mut DetRng, max: usize, mut item: impl FnMut(&mut DetRng) -> T) -> Vec<T> {
+    let n = rng.random_range(0..=max);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+fn any_gid(rng: &mut DetRng) -> u16 {
+    rng.random_range(0..u16::MAX as u32) as u16
+}
+
+/// A commit record with a random delta and an opaque random meta.
+fn any_commit(rng: &mut DetRng) -> Record {
+    Record::Commit {
+        graphs: any_list(rng, 2, |r| (any_gid(r), format!("urn:g:{}", ident(r, 10)))),
+        terms: any_list(rng, 4, |r| (r.next_u64(), any_term(r))),
+        inserts: any_list(rng, 6, |r| {
+            (r.next_u64(), r.next_u64(), r.next_u64(), any_gid(r))
+        }),
+        removes: any_list(rng, 4, |r| (r.next_u64(), r.next_u64(), r.next_u64())),
+        meta: any_list(rng, 64, |r| r.next_u64() as u8),
+        held: rng.random_bool(0.5),
+    }
+}
+
 fn any_record(rng: &mut DetRng) -> Record {
     match rng.random_range(0..6u32) {
         0 => Record::GraphDecl {
-            gid: rng.random_range(0..u16::MAX as u32) as u16,
+            gid: any_gid(rng),
             name: format!("urn:g:{}", ident(rng, 10)),
         },
         1 => Record::DictAdd {
@@ -632,18 +655,15 @@ fn any_record(rng: &mut DetRng) -> Record {
             s: rng.next_u64(),
             p: rng.next_u64(),
             o: rng.next_u64(),
-            gid: rng.random_range(0..u16::MAX as u32) as u16,
+            gid: any_gid(rng),
         },
-        3 => Record::Remove {
-            s: rng.next_u64(),
-            p: rng.next_u64(),
-            o: rng.next_u64(),
-        },
+        3 => any_commit(rng),
         4 => Record::SnapshotHeader {
             last_seq: rng.next_u64(),
             graphs: rng.next_u64(),
             terms: rng.next_u64(),
             triples: rng.next_u64(),
+            commits: rng.next_u64(),
         },
         _ => Record::SnapshotFooter {
             last_seq: rng.next_u64(),
@@ -721,6 +741,171 @@ fn wal_scan_survives_truncation_at_every_byte() {
             assert_eq!(report.clean(), cut == boundaries[expect]);
         }
     }
+}
+
+// ---------- hostile bytes into the commit decoders ----------
+
+use lodify::core::commit::{PlatformDelta, Provenance};
+use lodify::lod::annotator::BuddyExternalLink;
+use lodify::lod::{AnnotationResult, Candidate, SourceGraph, TermAnnotation};
+use lodify::obs::TraceContext;
+use lodify::relational::SqlValue;
+
+/// LEB128, as the codec writes it.
+fn varint(value: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    lodify::durability::codec::put_varint(&mut out, value);
+    out
+}
+
+/// One hostile byte string derived from `valid`: arbitrary bytes, bit
+/// flips, a truncation, trailing garbage, or a varint inflated up to
+/// `u64::MAX` (a count or length claiming far more than follows).
+fn mutate(rng: &mut DetRng, valid: &[u8]) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    match rng.random_range(0..5u32) {
+        0 => {
+            let len = rng.random_range(0..200usize);
+            bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+        }
+        1 => {
+            for _ in 0..rng.random_range(1..4u32) {
+                let at = rng.random_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.random_range(0..8u32);
+            }
+        }
+        2 => bytes.truncate(rng.random_range(0..bytes.len())),
+        3 => bytes.extend((0..rng.random_range(1..16usize)).map(|_| rng.next_u64() as u8)),
+        _ => {
+            let at = rng.random_range(0..bytes.len());
+            let huge = [u64::MAX, u64::from(u32::MAX), 1 << 40, 1 << 20];
+            bytes.splice(at..=at, varint(huge[rng.random_range(0..huge.len())]));
+        }
+    }
+    bytes
+}
+
+/// Decoded lists pre-allocate at most 1,024 slots, whatever a count
+/// claims.
+fn bounded<T>(list: &[T], capacity: usize) -> bool {
+    capacity <= 1024.max(2 * list.len())
+}
+
+fn any_iri_value(rng: &mut DetRng) -> Iri {
+    Iri::new(any_iri(rng)).unwrap()
+}
+
+fn any_platform_delta(rng: &mut DetRng) -> PlatformDelta {
+    let resolvers = ["dbpedia", "geonames", "sindice", "evri", "zemanta"];
+    let graphs = [
+        SourceGraph::Geonames,
+        SourceGraph::DBpedia,
+        SourceGraph::Evri,
+        SourceGraph::Other,
+    ];
+    let value = |r: &mut DetRng| match r.random_range(0..5u32) {
+        0 => SqlValue::Null,
+        1 => SqlValue::Int(r.next_u64() as i64),
+        2 => SqlValue::Real(r.random_f64() * 360.0 - 180.0),
+        3 => SqlValue::Text(any_text(r, 12)),
+        _ => SqlValue::Bool(r.random_bool(0.5)),
+    };
+    let candidate = |r: &mut DetRng| Candidate {
+        resource: any_iri_value(r),
+        label: any_text(r, 12),
+        graph: graphs[r.random_range(0..4usize)],
+        score: r.random_f64(),
+        types: any_list(r, 2, any_iri_value),
+        resolver: resolvers[r.random_range(0..5usize)],
+    };
+    let annotation = AnnotationResult {
+        language: rng.random_bool(0.5).then_some("it"),
+        location: rng.random_bool(0.5).then(|| any_iri_value(rng)),
+        buddies: any_list(rng, 2, any_iri_value),
+        buddy_external: any_list(rng, 1, |r| BuddyExternalLink {
+            full_name: any_text(r, 12),
+            candidates: any_list(r, 2, candidate),
+        }),
+        poi: rng.random_bool(0.5).then(|| any_iri_value(rng)),
+        terms: any_list(rng, 3, |r| TermAnnotation {
+            term: any_text(r, 10),
+            resource: r.random_bool(0.5).then(|| any_iri_value(r)),
+            graph: r
+                .random_bool(0.5)
+                .then(|| graphs[r.random_range(0..4usize)]),
+            candidates_considered: r.random_range(0..50usize),
+            survivors: r.random_range(0..5usize),
+        }),
+        resolver_failures: rng.random_range(0..3usize),
+        degraded: any_list(rng, 2, |r| resolvers[r.random_range(0..5usize)]),
+    };
+    PlatformDelta {
+        rows: any_list(rng, 2, |r| (ident(r, 8), any_list(r, 9, value))),
+        annotation: rng
+            .random_bool(0.7)
+            .then(|| (rng.next_u64() as i64, annotation)),
+        context_tags: any_list(rng, 4, |r| {
+            format!("{}:{}={}", ident(r, 6), ident(r, 6), ident(r, 6))
+        }),
+        emission: rng.random_bool(0.5).then(|| Provenance {
+            epoch: rng.next_u64(),
+            album: rng.random_bool(0.5).then(|| ident(rng, 6)),
+            trace: rng.random_bool(0.5).then(|| TraceContext {
+                trace_id: rng.next_u64(),
+                parent_span_id: rng.next_u64(),
+            }),
+        }),
+    }
+}
+
+#[test]
+fn commit_decoders_reject_hostile_bytes_without_panicking() {
+    let mut rng = rng("hostile-commit");
+    let (mut decoded, mut rejected) = (0, 0);
+    for _ in 0..CASES {
+        // A commit record body …
+        let mut body = Vec::new();
+        any_commit(&mut rng).encode(&mut body);
+        let bytes = mutate(&mut rng, &body);
+        match Record::decode(&bytes, &mut 0) {
+            Ok(Record::Commit {
+                graphs,
+                terms,
+                inserts,
+                removes,
+                meta,
+                ..
+            }) => {
+                assert!(bounded(&graphs, graphs.capacity()));
+                assert!(bounded(&terms, terms.capacity()));
+                assert!(bounded(&inserts, inserts.capacity()));
+                assert!(bounded(&removes, removes.capacity()));
+                assert!(meta.len() <= bytes.len());
+                decoded += 1;
+            }
+            Ok(_) => decoded += 1,
+            Err(_) => rejected += 1,
+        }
+
+        // … and a platform delta, the meta the platform stores in it.
+        let delta = any_platform_delta(&mut rng);
+        let valid = delta.encode();
+        assert_eq!(PlatformDelta::decode(&valid).unwrap(), delta);
+        let bytes = mutate(&mut rng, &valid);
+        match PlatformDelta::decode(&bytes) {
+            Ok(got) => {
+                assert_eq!(PlatformDelta::decode(&got.encode()).unwrap(), got);
+                assert!(bounded(&got.rows, got.rows.capacity()));
+                assert!(bounded(&got.context_tags, got.context_tags.capacity()));
+                decoded += 1;
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(
+        decoded > 0 && rejected > CASES,
+        "both outcomes exercised: {decoded} decoded, {rejected} rejected"
+    );
 }
 
 // ---------- deterministic generation (plain tests, heavier) ----------
