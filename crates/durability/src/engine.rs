@@ -5,7 +5,7 @@
 //! `meta` as exactly one [`Record::Commit`], so neither a group-commit
 //! flush nor a crash can split a commit. Snapshots compact the log, and
 //! [`DurableStore::open`] / [`DurableStore::open_or_adopt`] rebuild the
-//! store — triple indexes, fulltext, geo, stats — to exactly the last
+//! store — triple indexes, fulltext, labels, geo, stats — to exactly the last
 //! acknowledged commit, handing every commit's meta back in the
 //! [`RecoveryReport`] so the caller can replay its own state.
 //!
@@ -847,6 +847,36 @@ mod tests {
             .search_word("picture")
             .is_empty());
         assert_eq!(recovered.store().stats().total(), 40);
+    }
+
+    #[test]
+    fn recovered_label_index_answers_like_the_uncrashed_store() {
+        // The label index is derived state: nothing of it is journaled,
+        // and replaying the log through `Store::insert` / `remove`
+        // rebuilds it, removals included.
+        let mem = MemStorage::new();
+        let (mut engine, _) = open_mem(&mem);
+        let g = engine.graph("urn:g:ugc");
+        for n in 0..12 {
+            engine.insert(&label(n), g).unwrap();
+            engine.insert(&geo(n), g).unwrap();
+        }
+        engine.remove(&label(3)).unwrap();
+        engine.remove(&label(8)).unwrap();
+        engine.flush().unwrap();
+        mem.crash();
+        let (recovered, report) = open_mem(&mem);
+        assert!(report.recovered);
+        let (live, revived) = (engine.store().labels(), recovered.store().labels());
+        for token in ["picture", "number", "3", "7", "11"] {
+            assert_eq!(revived.token(token), live.token(token), "{token}");
+        }
+        for n in 0..12 {
+            let text = format!("picture number {n}");
+            assert_eq!(revived.exact(&text), live.exact(&text), "{text}");
+        }
+        assert_eq!(revived.token("picture").len(), 10);
+        assert!(revived.exact("picture number 8").is_empty());
     }
 
     #[test]

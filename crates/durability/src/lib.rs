@@ -24,7 +24,7 @@
 //! * [`engine`] — [`DurableStore`]: one-record commits, periodic
 //!   compaction into generation files, and [`DurableStore::open`] /
 //!   [`DurableStore::open_or_adopt`] recovery that rebuilds the store
-//!   (triple indexes, fulltext, geo, stats) to exactly the last
+//!   (triple indexes, fulltext, labels, geo, stats) to exactly the last
 //!   acknowledged commit and returns every commit's meta. The engine
 //!   is owned by its single writer; readers pin
 //!   `engine.store().snapshot()`.

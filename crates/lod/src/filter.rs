@@ -18,11 +18,14 @@
 //!    only in case a single candidate remains after this step, to avoid
 //!    ambiguity and limit errors."
 
-use lodify_rdf::Term;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+use lodify_rdf::{Iri, Term};
 use lodify_store::Store;
 use lodify_text::distance::jaro_winkler_ci;
 
-use crate::resolvers::{Candidate, SourceGraph};
+use crate::resolvers::{Candidate, SourceGraph, Vocab};
 
 /// Why a candidate was discarded.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,17 +117,9 @@ impl SemanticFilter {
         let mut discarded: Vec<(Candidate, DiscardReason)> = Vec::new();
 
         // Deduplicate by resource IRI, keeping the best-scored copy.
-        let mut unique: Vec<Candidate> = Vec::new();
-        for candidate in candidates {
-            match unique.iter_mut().find(|c| c.resource == candidate.resource) {
-                Some(existing) => {
-                    if candidate.score > existing.score {
-                        *existing = candidate.clone();
-                    }
-                }
-                None => unique.push(candidate.clone()),
-            }
-        }
+        let unique = best_per_resource(candidates)
+            .into_iter()
+            .map(|i| candidates[i].clone());
 
         // 1. Graph membership.
         let mut pool: Vec<Candidate> = Vec::new();
@@ -139,21 +134,18 @@ impl SemanticFilter {
         // 2. Per-ontology validation (may normalize redirect pages,
         //    so dedup again afterwards).
         if self.config.validate {
+            let vocab = Vocab::of(store);
             let mut valid: Vec<Candidate> = Vec::new();
             for mut candidate in pool {
-                match self.validate(store, &mut candidate) {
-                    Ok(()) => match valid.iter_mut().find(|c| c.resource == candidate.resource) {
-                        Some(existing) => {
-                            if candidate.score > existing.score {
-                                *existing = candidate;
-                            }
-                        }
-                        None => valid.push(candidate),
-                    },
+                match self.validate(store, &vocab, &mut candidate) {
+                    Ok(()) => valid.push(candidate),
                     Err(reason) => discarded.push((candidate, reason)),
                 }
             }
-            pool = valid;
+            pool = best_per_resource(&valid)
+                .into_iter()
+                .map(|i| valid[i].clone())
+                .collect();
         }
 
         // 3. Jaro–Winkler vs the original word.
@@ -205,7 +197,12 @@ impl SemanticFilter {
 
     /// Per-ontology validation; normalizes DBpedia redirect pages to
     /// their targets (mutating the candidate).
-    fn validate(&self, store: &Store, candidate: &mut Candidate) -> Result<(), DiscardReason> {
+    fn validate(
+        &self,
+        store: &Store,
+        vocab: &Vocab,
+        candidate: &mut Candidate,
+    ) -> Result<(), DiscardReason> {
         match candidate.graph {
             // Evri resources are external; no local validation possible.
             SourceGraph::Evri => Ok(()),
@@ -219,13 +216,13 @@ impl SemanticFilter {
                 if candidate.graph == SourceGraph::DBpedia {
                     // Normalize redirect pages (Sindice hands them over
                     // raw; the DBpedia resolver already followed them).
-                    let canonical = crate::resolvers::follow_redirect(store, subject);
+                    let canonical = vocab.follow_redirect(store, subject);
                     if canonical != subject {
                         if let Some(iri) = store.term_of(canonical).and_then(|t| t.as_iri()) {
                             candidate.resource = iri.clone();
                         }
                     }
-                    if crate::resolvers::is_disambiguation(store, canonical) {
+                    if vocab.is_disambiguation(store, canonical) {
                         return Err(DiscardReason::DisambiguationPage);
                     }
                 }
@@ -233,6 +230,30 @@ impl SemanticFilter {
             }
         }
     }
+}
+
+/// Deduplication by resource IRI in one pass: the positions of the
+/// candidates to keep, one per distinct resource, in the order each
+/// resource first appears. A later duplicate takes its resource's
+/// place only with a strictly higher score.
+fn best_per_resource(candidates: &[Candidate]) -> Vec<usize> {
+    let mut slot_of: HashMap<&Iri, usize> = HashMap::with_capacity(candidates.len());
+    let mut kept: Vec<usize> = Vec::new();
+    for (i, candidate) in candidates.iter().enumerate() {
+        match slot_of.entry(&candidate.resource) {
+            Entry::Occupied(slot) => {
+                let best = &mut kept[*slot.get()];
+                if candidate.score > candidates[*best].score {
+                    *best = i;
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+                kept.push(i);
+            }
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -410,5 +431,45 @@ mod tests {
         let outcome = dbp_first.filter(&s, "Torino", &cands);
         let chosen = outcome.chosen.expect("resolves");
         assert_eq!(chosen.graph, SourceGraph::DBpedia);
+    }
+
+    #[test]
+    fn one_pass_dedup_matches_the_pairwise_scan() {
+        // The quadratic scan it replaced: first position kept, replaced
+        // only by a strictly higher score.
+        fn pairwise(candidates: &[Candidate]) -> Vec<Candidate> {
+            let mut unique: Vec<Candidate> = Vec::new();
+            for candidate in candidates {
+                match unique.iter_mut().find(|c| c.resource == candidate.resource) {
+                    Some(existing) => {
+                        if candidate.score > existing.score {
+                            *existing = candidate.clone();
+                        }
+                    }
+                    None => unique.push(candidate.clone()),
+                }
+            }
+            unique
+        }
+        let mut rng = lodify_resilience::DetRng::seed_from_u64(3);
+        for _ in 0..200 {
+            let n = rng.random_range(0..40usize);
+            let candidates: Vec<Candidate> = (0..n)
+                .map(|i| Candidate {
+                    resource: dbp(&format!("R{}", rng.random_range(0..8u64))),
+                    label: format!("label {i}"),
+                    graph: SourceGraph::DBpedia,
+                    // Few distinct scores, so ties are common.
+                    score: rng.random_range(0..4u64) as f64 / 4.0,
+                    types: vec![],
+                    resolver: "test",
+                })
+                .collect();
+            let kept: Vec<Candidate> = best_per_resource(&candidates)
+                .into_iter()
+                .map(|i| candidates[i].clone())
+                .collect();
+            assert_eq!(kept, pairwise(&candidates));
+        }
     }
 }

@@ -6,10 +6,24 @@
 //! (optimized to SPARQL, following redirects, skipping disambiguation
 //! pages, with native scoring), Sindice, Evri and Zemanta — is
 //! reproduced here over the synthetic LOD snapshots.
+//!
+//! Every resolver looks terms up in the store's label index
+//! ([`lodify_store::label`]), the gazetteer-annotation design of
+//! Slimani's survey: the label dictionary is kept compiled, not
+//! re-scanned per term. An exact match (Geonames, and Evri and Zemanta
+//! on a term or on each 1–3-token window of a title) is one hash probe
+//! on the lowercased term; a fuzzy match (DBpedia, Sindice) walks the
+//! label postings of the term's first token and keeps labels holding
+//! every term token. A graph filter compares one `GraphId` per posting,
+//! and the predicates read per candidate are resolved to ids once per
+//! call. The index lives in the store's shards, so a pinned snapshot is
+//! never stale against it.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lodify_rdf::{ns, Iri, Term};
+use lodify_store::fulltext::tokenize;
 use lodify_store::{Store, TermId};
 
 use crate::datasets::{GRAPH_DBPEDIA, GRAPH_GEONAMES};
@@ -116,56 +130,56 @@ enum LabelMatch {
     Fuzzy,
 }
 
-/// The ids of the naming predicates (labels, not abstracts).
-fn label_predicates(store: &Store) -> Vec<TermId> {
-    [
-        ns::iri::rdfs_label(),
-        ns::GN.iri("name"),
-        ns::GN.iri("alternateName"),
-        ns::iri::foaf_name(),
-    ]
-    .into_iter()
-    .filter_map(|iri| store.id_of(&Term::Iri(iri)))
-    .collect()
-}
+/// A label lookup: `(subject, label)` pairs whose label matches the
+/// term, restricted to subjects of the named graph when one is given.
+/// Resolvers take it as a parameter so tests can run them over the
+/// reference posting walk as well as over the label index.
+type Lookup = fn(&Store, &str, Option<&str>, LabelMatch) -> Vec<(TermId, String)>;
 
 /// Subjects (in `graph_filter`, if given) whose **label** matches
-/// `term` under the given matching mode, via the full-text index.
+/// `term` under the given matching mode, via the store's label index:
+/// an exact match is one hash probe on the lowercased term, a fuzzy
+/// match walks the label postings of the term's first token. Index
+/// keys are hashes, so every hit's literal is checked here.
 fn subjects_with_label(
     store: &Store,
     term: &str,
     graph_filter: Option<&str>,
     mode: LabelMatch,
 ) -> Vec<(TermId, String)> {
-    let term_tokens = lodify_store::fulltext::tokenize(term);
+    let term_tokens = tokenize(term);
     let Some(first) = term_tokens.first() else {
         return Vec::new();
     };
-    let label_preds = label_predicates(store);
+    let graph = match graph_filter {
+        Some(name) => match store.graph_id(name) {
+            Some(id) => Some(id),
+            None => return Vec::new(),
+        },
+        None => None,
+    };
+    let term_lower = term.to_lowercase();
+    let postings = match mode {
+        LabelMatch::Exact => store.labels().exact(&term_lower),
+        LabelMatch::Fuzzy => store.labels().token(first),
+    };
     let mut out = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for posting in store.fulltext().search_word(first) {
-        if !label_preds.contains(&posting.predicate) {
-            continue;
-        }
+    let mut seen = HashSet::new();
+    for posting in postings {
+        // One literal under two naming predicates is one label.
         if !seen.insert((posting.subject, posting.object)) {
             continue;
         }
-        if let Some(graph) = graph_filter {
-            let Some(g) = store.graph_of_subject(posting.subject) else {
-                continue;
-            };
-            if store.graph_name(g) != Some(graph) {
-                continue;
-            }
+        if graph.is_some() && store.graph_of_subject(posting.subject) != graph {
+            continue;
         }
         let Some(Term::Literal(lit)) = store.term_of(posting.object) else {
             continue;
         };
         let matched = match mode {
-            LabelMatch::Exact => lit.value().to_lowercase() == term.to_lowercase(),
+            LabelMatch::Exact => lit.value().to_lowercase() == term_lower,
             LabelMatch::Fuzzy => {
-                let label_tokens = lodify_store::fulltext::tokenize(lit.value());
+                let label_tokens = tokenize(lit.value());
                 term_tokens.iter().all(|t| label_tokens.contains(t))
             }
         };
@@ -176,50 +190,68 @@ fn subjects_with_label(
     out
 }
 
-fn types_of(store: &Store, subject: TermId) -> Vec<Iri> {
-    let Some(type_pred) = store.id_of(&Term::Iri(ns::iri::rdf_type())) else {
-        return Vec::new();
-    };
-    store
-        .match_ids(Some(subject), Some(type_pred), None)
-        .filter_map(|(_, _, o)| store.term_of(o)?.as_iri().cloned())
-        .collect()
+/// The predicates read per candidate, resolved to dictionary ids once
+/// per resolver (or filter) call instead of once per candidate.
+pub(crate) struct Vocab {
+    rdf_type: Option<TermId>,
+    redirects: Option<TermId>,
+    disambiguates: Option<TermId>,
+}
+
+impl Vocab {
+    pub(crate) fn of(store: &Store) -> Vocab {
+        let id = |iri: Iri| store.id_of(&Term::Iri(iri));
+        Vocab {
+            rdf_type: id(ns::iri::rdf_type()),
+            redirects: id(ns::iri::dbpo_redirects()),
+            disambiguates: id(ns::iri::dbpo_disambiguates()),
+        }
+    }
+
+    fn types_of(&self, store: &Store, subject: TermId) -> Vec<Iri> {
+        let Some(type_pred) = self.rdf_type else {
+            return Vec::new();
+        };
+        store
+            .match_ids(Some(subject), Some(type_pred), None)
+            .filter_map(|(_, _, o)| store.term_of(o)?.as_iri().cloned())
+            .collect()
+    }
+
+    /// Follows `dbpo:wikiPageRedirects` (one hop; the snapshots have no
+    /// chains). The semantic filter's validation step uses it too, to
+    /// normalize redirect pages handed over by dumb resolvers (Sindice).
+    pub(crate) fn follow_redirect(&self, store: &Store, subject: TermId) -> TermId {
+        let Some(pred) = self.redirects else {
+            return subject;
+        };
+        store
+            .match_ids(Some(subject), Some(pred), None)
+            .map(|(_, _, o)| o)
+            .next()
+            .unwrap_or(subject)
+    }
+
+    /// Whether the subject is a disambiguation page.
+    pub(crate) fn is_disambiguation(&self, store: &Store, subject: TermId) -> bool {
+        let Some(pred) = self.disambiguates else {
+            return false;
+        };
+        store
+            .match_ids(Some(subject), Some(pred), None)
+            .next()
+            .is_some()
+    }
 }
 
 fn subject_iri(store: &Store, subject: TermId) -> Option<Iri> {
     store.term_of(subject)?.as_iri().cloned()
 }
 
-fn int_object(store: &Store, subject: TermId, predicate: &Iri) -> Option<i64> {
-    let pred = store.id_of(&Term::Iri(predicate.clone()))?;
+fn int_object(store: &Store, subject: TermId, pred: Option<TermId>) -> Option<i64> {
     store
-        .match_ids(Some(subject), Some(pred), None)
+        .match_ids(Some(subject), Some(pred?), None)
         .find_map(|(_, _, o)| store.term_of(o)?.as_literal()?.as_i64())
-}
-
-/// Follows `dbpo:wikiPageRedirects` (one hop; the snapshots have no
-/// chains). Public: the semantic filter's validation step normalizes
-/// redirect pages handed over by dumb resolvers (Sindice).
-pub fn follow_redirect(store: &Store, subject: TermId) -> TermId {
-    let Some(pred) = store.id_of(&Term::Iri(ns::iri::dbpo_redirects())) else {
-        return subject;
-    };
-    store
-        .match_ids(Some(subject), Some(pred), None)
-        .map(|(_, _, o)| o)
-        .next()
-        .unwrap_or(subject)
-}
-
-/// Whether the subject is a disambiguation page.
-pub fn is_disambiguation(store: &Store, subject: TermId) -> bool {
-    let Some(pred) = store.id_of(&Term::Iri(ns::iri::dbpo_disambiguates())) else {
-        return false;
-    };
-    store
-        .match_ids(Some(subject), Some(pred), None)
-        .next()
-        .is_some()
 }
 
 // ---------------------------------------------------------------------
@@ -244,58 +276,61 @@ impl Resolver for DbpediaResolver {
         term: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        let term_tokens = lodify_store::fulltext::tokenize(term);
-        let mut raw: Vec<(TermId, String)> = Vec::new();
-        for (subject, label) in
-            subjects_with_label(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Fuzzy)
-        {
-            let canonical = follow_redirect(store, subject);
-            if is_disambiguation(store, canonical) {
-                continue; // the resolver's own disambiguation check
-            }
-            raw.push((canonical, label));
-        }
-
-        // Native scoring, lookup-service style: relevance (how much of
-        // the matched label the term covers; exact match = 1) blended
-        // with popularity (refCount). Only an exact-label match on the
-        // most-referenced resource reaches the *maximum* score of 1.0 —
-        // the case the filter's JW exemption refers to.
-        let ref_pred = crate::datasets::ref_count_pred();
-        let counts: Vec<i64> = raw
-            .iter()
-            .map(|(s, _)| int_object(store, *s, &ref_pred).unwrap_or(1))
-            .collect();
-        let max_count = counts.iter().copied().max().unwrap_or(1).max(1);
-        let mut scored: Vec<(TermId, String, f64)> = raw
-            .into_iter()
-            .zip(counts)
-            .map(|((subject, label), count)| {
-                let label_tokens = lodify_store::fulltext::tokenize(&label);
-                let relevance = term_tokens.len() as f64 / label_tokens.len().max(1) as f64;
-                let relevance = relevance.min(1.0);
-                let popularity = count as f64 / max_count as f64;
-                (subject, label, relevance * (0.5 + 0.5 * popularity))
-            })
-            .collect();
-        // Dedup by resource, keeping the best-scored (subject, label).
-        scored.sort_by(|a, b| a.0.cmp(&b.0).then(b.2.total_cmp(&a.2)));
-        scored.dedup_by_key(|(s, _, _)| *s);
-
-        Ok(scored
-            .into_iter()
-            .filter_map(|(subject, label, score)| {
-                Some(Candidate {
-                    resource: subject_iri(store, subject)?,
-                    label,
-                    graph: SourceGraph::DBpedia,
-                    score,
-                    types: types_of(store, subject),
-                    resolver: "dbpedia",
-                })
-            })
-            .collect())
+        Ok(dbpedia_term(store, term, subjects_with_label))
     }
+}
+
+fn dbpedia_term(store: &Store, term: &str, lookup: Lookup) -> Vec<Candidate> {
+    let vocab = Vocab::of(store);
+    let term_tokens = tokenize(term);
+    let mut raw: Vec<(TermId, String)> = Vec::new();
+    for (subject, label) in lookup(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Fuzzy) {
+        let canonical = vocab.follow_redirect(store, subject);
+        if vocab.is_disambiguation(store, canonical) {
+            continue; // the resolver's own disambiguation check
+        }
+        raw.push((canonical, label));
+    }
+
+    // Native scoring, lookup-service style: relevance (how much of
+    // the matched label the term covers; exact match = 1) blended
+    // with popularity (refCount). Only an exact-label match on the
+    // most-referenced resource reaches the *maximum* score of 1.0 —
+    // the case the filter's JW exemption refers to.
+    let ref_pred = store.id_of(&Term::Iri(crate::datasets::ref_count_pred()));
+    let counts: Vec<i64> = raw
+        .iter()
+        .map(|(s, _)| int_object(store, *s, ref_pred).unwrap_or(1))
+        .collect();
+    let max_count = counts.iter().copied().max().unwrap_or(1).max(1);
+    let mut scored: Vec<(TermId, String, f64)> = raw
+        .into_iter()
+        .zip(counts)
+        .map(|((subject, label), count)| {
+            let label_tokens = tokenize(&label);
+            let relevance = term_tokens.len() as f64 / label_tokens.len().max(1) as f64;
+            let relevance = relevance.min(1.0);
+            let popularity = count as f64 / max_count as f64;
+            (subject, label, relevance * (0.5 + 0.5 * popularity))
+        })
+        .collect();
+    // Dedup by resource, keeping the best-scored (subject, label).
+    scored.sort_by(|a, b| a.0.cmp(&b.0).then(b.2.total_cmp(&a.2)));
+    scored.dedup_by_key(|(s, _, _)| *s);
+
+    scored
+        .into_iter()
+        .filter_map(|(subject, label, score)| {
+            Some(Candidate {
+                resource: subject_iri(store, subject)?,
+                label,
+                graph: SourceGraph::DBpedia,
+                score,
+                types: vocab.types_of(store, subject),
+                resolver: "dbpedia",
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -317,30 +352,34 @@ impl Resolver for GeonamesResolver {
         term: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        let mut raw = subjects_with_label(store, term, Some(GRAPH_GEONAMES), LabelMatch::Exact);
-        raw.sort_by_key(|(s, _)| *s);
-        raw.dedup_by(|a, b| a.0 == b.0);
-        let pop_pred = ns::GN.iri("population");
-        let pops: Vec<i64> = raw
-            .iter()
-            .map(|(s, _)| int_object(store, *s, &pop_pred).unwrap_or(1))
-            .collect();
-        let max = pops.iter().copied().max().unwrap_or(1).max(1);
-        Ok(raw
-            .into_iter()
-            .zip(pops)
-            .filter_map(|((subject, label), pop)| {
-                Some(Candidate {
-                    resource: subject_iri(store, subject)?,
-                    label,
-                    graph: SourceGraph::Geonames,
-                    score: pop as f64 / max as f64,
-                    types: types_of(store, subject),
-                    resolver: "geonames",
-                })
-            })
-            .collect())
+        Ok(geonames_term(store, term, subjects_with_label))
     }
+}
+
+fn geonames_term(store: &Store, term: &str, lookup: Lookup) -> Vec<Candidate> {
+    let vocab = Vocab::of(store);
+    let mut raw = lookup(store, term, Some(GRAPH_GEONAMES), LabelMatch::Exact);
+    raw.sort_by_key(|(s, _)| *s);
+    raw.dedup_by(|a, b| a.0 == b.0);
+    let pop_pred = store.id_of(&Term::Iri(ns::GN.iri("population")));
+    let pops: Vec<i64> = raw
+        .iter()
+        .map(|(s, _)| int_object(store, *s, pop_pred).unwrap_or(1))
+        .collect();
+    let max = pops.iter().copied().max().unwrap_or(1).max(1);
+    raw.into_iter()
+        .zip(pops)
+        .filter_map(|((subject, label), pop)| {
+            Some(Candidate {
+                resource: subject_iri(store, subject)?,
+                label,
+                graph: SourceGraph::Geonames,
+                score: pop as f64 / max as f64,
+                types: vocab.types_of(store, subject),
+                resolver: "geonames",
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -365,28 +404,32 @@ impl Resolver for SindiceResolver {
         term: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        let mut raw = subjects_with_label(store, term, None, LabelMatch::Fuzzy);
-        raw.sort_by_key(|(s, _)| *s);
-        raw.dedup_by(|a, b| a.0 == b.0);
-        Ok(raw
-            .into_iter()
-            .filter_map(|(subject, label)| {
-                let graph = store
-                    .graph_of_subject(subject)
-                    .and_then(|g| store.graph_name(g))
-                    .map(SourceGraph::from_graph_name)
-                    .unwrap_or(SourceGraph::Other);
-                Some(Candidate {
-                    resource: subject_iri(store, subject)?,
-                    label,
-                    graph,
-                    score: 0.5,
-                    types: types_of(store, subject),
-                    resolver: "sindice",
-                })
-            })
-            .collect())
+        Ok(sindice_term(store, term, subjects_with_label))
     }
+}
+
+fn sindice_term(store: &Store, term: &str, lookup: Lookup) -> Vec<Candidate> {
+    let vocab = Vocab::of(store);
+    let mut raw = lookup(store, term, None, LabelMatch::Fuzzy);
+    raw.sort_by_key(|(s, _)| *s);
+    raw.dedup_by(|a, b| a.0 == b.0);
+    raw.into_iter()
+        .filter_map(|(subject, label)| {
+            let graph = store
+                .graph_of_subject(subject)
+                .and_then(|g| store.graph_name(g))
+                .map(SourceGraph::from_graph_name)
+                .unwrap_or(SourceGraph::Other);
+            Some(Candidate {
+                resource: subject_iri(store, subject)?,
+                label,
+                graph,
+                score: 0.5,
+                types: vocab.types_of(store, subject),
+                resolver: "sindice",
+            })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -394,21 +437,20 @@ impl Resolver for SindiceResolver {
 // ---------------------------------------------------------------------
 
 /// Label windows of 1–3 tokens inside `text` that exactly match an
-/// entity label in `graph_filter`.
+/// entity label in `graph_filter` — one exact lookup per window.
 fn fulltext_matches(
     store: &Store,
     text: &str,
     graph_filter: Option<&str>,
+    lookup: Lookup,
 ) -> Vec<(TermId, String)> {
-    let words: Vec<String> = lodify_store::fulltext::tokenize(text);
+    let words: Vec<String> = tokenize(text);
     let mut out: Vec<(TermId, String)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     for window in 1..=3usize {
         for chunk in words.windows(window) {
             let phrase = chunk.join(" ");
-            for (subject, label) in
-                subjects_with_label(store, &phrase, graph_filter, LabelMatch::Exact)
-            {
+            for (subject, label) in lookup(store, &phrase, graph_filter, LabelMatch::Exact) {
                 if seen.insert(subject) {
                     out.push((subject, label));
                 }
@@ -434,14 +476,7 @@ impl Resolver for EvriResolver {
         term: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        // Term queries match the whole term as an entity label; window
-        // scanning is reserved for full-text over titles.
-        Ok(
-            subjects_with_label(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Exact)
-                .into_iter()
-                .map(|(_, label)| evri_candidate(label))
-                .collect(),
-        )
+        Ok(evri_term(store, term, subjects_with_label))
     }
 
     fn resolve_fulltext(
@@ -450,11 +485,24 @@ impl Resolver for EvriResolver {
         text: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        Ok(fulltext_matches(store, text, Some(GRAPH_DBPEDIA))
-            .into_iter()
-            .map(|(_, label)| evri_candidate(label))
-            .collect())
+        Ok(evri_fulltext(store, text, subjects_with_label))
     }
+}
+
+fn evri_term(store: &Store, term: &str, lookup: Lookup) -> Vec<Candidate> {
+    // Term queries match the whole term as an entity label; window
+    // scanning is reserved for full-text over titles.
+    lookup(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Exact)
+        .into_iter()
+        .map(|(_, label)| evri_candidate(label))
+        .collect()
+}
+
+fn evri_fulltext(store: &Store, text: &str, lookup: Lookup) -> Vec<Candidate> {
+    fulltext_matches(store, text, Some(GRAPH_DBPEDIA), lookup)
+        .into_iter()
+        .map(|(_, label)| evri_candidate(label))
+        .collect()
 }
 
 fn evri_candidate(label: String) -> Candidate {
@@ -485,12 +533,7 @@ impl Resolver for ZemantaResolver {
         term: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        Ok(
-            subjects_with_label(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Exact)
-                .into_iter()
-                .filter_map(|(subject, label)| zemanta_candidate(store, subject, label))
-                .collect(),
-        )
+        Ok(zemanta_term(store, term, subjects_with_label))
     }
 
     fn resolve_fulltext(
@@ -499,16 +542,34 @@ impl Resolver for ZemantaResolver {
         text: &str,
         _lang: Option<&str>,
     ) -> Result<Vec<Candidate>, ResolverError> {
-        Ok(fulltext_matches(store, text, Some(GRAPH_DBPEDIA))
-            .into_iter()
-            .filter_map(|(subject, label)| zemanta_candidate(store, subject, label))
-            .collect())
+        Ok(zemanta_fulltext(store, text, subjects_with_label))
     }
 }
 
-fn zemanta_candidate(store: &Store, subject: TermId, label: String) -> Option<Candidate> {
-    let canonical = follow_redirect(store, subject);
-    if is_disambiguation(store, canonical) {
+fn zemanta_term(store: &Store, term: &str, lookup: Lookup) -> Vec<Candidate> {
+    let vocab = Vocab::of(store);
+    lookup(store, term, Some(GRAPH_DBPEDIA), LabelMatch::Exact)
+        .into_iter()
+        .filter_map(|(subject, label)| zemanta_candidate(store, &vocab, subject, label))
+        .collect()
+}
+
+fn zemanta_fulltext(store: &Store, text: &str, lookup: Lookup) -> Vec<Candidate> {
+    let vocab = Vocab::of(store);
+    fulltext_matches(store, text, Some(GRAPH_DBPEDIA), lookup)
+        .into_iter()
+        .filter_map(|(subject, label)| zemanta_candidate(store, &vocab, subject, label))
+        .collect()
+}
+
+fn zemanta_candidate(
+    store: &Store,
+    vocab: &Vocab,
+    subject: TermId,
+    label: String,
+) -> Option<Candidate> {
+    let canonical = vocab.follow_redirect(store, subject);
+    if vocab.is_disambiguation(store, canonical) {
         return None;
     }
     Some(Candidate {
@@ -516,7 +577,7 @@ fn zemanta_candidate(store: &Store, subject: TermId, label: String) -> Option<Ca
         label,
         graph: SourceGraph::DBpedia,
         score: 0.4,
-        types: types_of(store, canonical),
+        types: vocab.types_of(store, canonical),
         resolver: "zemanta",
     })
 }
@@ -644,10 +705,78 @@ impl<R: Resolver> Resolver for FaultInjectedResolver<R> {
     }
 }
 
+/// The posting walk the label index replaced, kept as the oracle the
+/// index is checked against. It reads only the full-text index: every
+/// posting of the term's first token, filtered to the naming
+/// predicates, with graph names compared as strings.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The ids of the naming predicates (labels, not abstracts).
+    fn label_predicates(store: &Store) -> Vec<TermId> {
+        [
+            ns::iri::rdfs_label(),
+            ns::GN.iri("name"),
+            ns::GN.iri("alternateName"),
+            ns::iri::foaf_name(),
+        ]
+        .into_iter()
+        .filter_map(|iri| store.id_of(&Term::Iri(iri)))
+        .collect()
+    }
+
+    pub(super) fn subjects_with_label(
+        store: &Store,
+        term: &str,
+        graph_filter: Option<&str>,
+        mode: LabelMatch,
+    ) -> Vec<(TermId, String)> {
+        let term_tokens = tokenize(term);
+        let Some(first) = term_tokens.first() else {
+            return Vec::new();
+        };
+        let label_preds = label_predicates(store);
+        let mut out = Vec::new();
+        let mut seen = HashSet::new();
+        for posting in store.fulltext().search_word(first) {
+            if !label_preds.contains(&posting.predicate) {
+                continue;
+            }
+            if !seen.insert((posting.subject, posting.object)) {
+                continue;
+            }
+            if let Some(graph) = graph_filter {
+                let Some(g) = store.graph_of_subject(posting.subject) else {
+                    continue;
+                };
+                if store.graph_name(g) != Some(graph) {
+                    continue;
+                }
+            }
+            let Some(Term::Literal(lit)) = store.term_of(posting.object) else {
+                continue;
+            };
+            let matched = match mode {
+                LabelMatch::Exact => lit.value().to_lowercase() == term.to_lowercase(),
+                LabelMatch::Fuzzy => {
+                    let label_tokens = tokenize(lit.value());
+                    term_tokens.iter().all(|t| label_tokens.contains(t))
+                }
+            };
+            if matched {
+                out.push((posting.subject, lit.value().to_string()));
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::{dbp, load_lod};
+    use crate::filter::SemanticFilter;
     use lodify_context::gazetteer::Gazetteer;
 
     fn store() -> Store {
@@ -780,5 +909,151 @@ mod tests {
                 resolver.name()
             );
         }
+    }
+
+    type Entry = fn(&Store, &str, Lookup) -> Vec<Candidate>;
+
+    /// Every resolver's `resolve_term`, beside the same resolver run
+    /// over a given lookup.
+    fn term_entries() -> [(&'static dyn Resolver, Entry); 5] {
+        [
+            (&DbpediaResolver, dbpedia_term),
+            (&GeonamesResolver, geonames_term),
+            (&SindiceResolver, sindice_term),
+            (&EvriResolver, evri_term),
+            (&ZemantaResolver, zemanta_term),
+        ]
+    }
+
+    /// Asserts that the label index and the reference walk give equal
+    /// candidate lists and Debug-equal filter outcomes for every
+    /// resolver: `resolve_term` on each term, `resolve_fulltext` on
+    /// each title.
+    fn assert_index_matches_walk(store: &Store, terms: &[String], titles: &[String]) {
+        let filter = SemanticFilter::standard();
+        let check = |name: &str, text: &str, indexed: Vec<Candidate>, walked: Vec<Candidate>| {
+            assert_eq!(indexed, walked, "{name} on {text:?}");
+            assert_eq!(
+                format!("{:?}", filter.filter(store, text, &indexed)),
+                format!("{:?}", filter.filter(store, text, &walked)),
+                "{name} outcome on {text:?}"
+            );
+        };
+        for term in terms {
+            for (resolver, entry) in term_entries() {
+                let indexed = resolver.resolve_term(store, term, None).unwrap();
+                let walked = entry(store, term, reference::subjects_with_label);
+                check(resolver.name(), term, indexed, walked);
+            }
+        }
+        let fulltext: [(&dyn Resolver, Entry); 2] = [
+            (&EvriResolver, evri_fulltext),
+            (&ZemantaResolver, zemanta_fulltext),
+        ];
+        for title in titles {
+            for (resolver, entry) in fulltext {
+                let indexed = resolver.resolve_fulltext(store, title, None).unwrap();
+                let walked = entry(store, title, reference::subjects_with_label);
+                check(resolver.name(), title, indexed, walked);
+            }
+        }
+    }
+
+    /// Distinct extracted terms and distinct titles of a corpus, in
+    /// first-seen order.
+    fn terms_and_titles<'a>(
+        items: impl IntoIterator<Item = (&'a str, &'a [String])>,
+    ) -> (Vec<String>, Vec<String>) {
+        let (mut terms, mut titles) = (Vec::new(), Vec::new());
+        let (mut seen_terms, mut seen_items) = (HashSet::new(), HashSet::new());
+        let mut seen_titles = HashSet::new();
+        for (title, tags) in items {
+            if !seen_items.insert((title, tags)) {
+                continue;
+            }
+            for term in lodify_text::pipeline::extract_terms(title, tags).terms {
+                if seen_terms.insert(term.text.clone()) {
+                    terms.push(term.text);
+                }
+            }
+            if seen_titles.insert(title) {
+                titles.push(title.to_string());
+            }
+        }
+        (terms, titles)
+    }
+
+    #[test]
+    fn label_index_matches_the_posting_walk_on_the_e8_corpora() {
+        use lodify_relational::workload::{generate, WorkloadConfig};
+
+        let corpora: Vec<_> = (1..=8u64)
+            .map(|seed| {
+                generate(WorkloadConfig {
+                    seed,
+                    users: 100,
+                    pictures: 1000,
+                    ..WorkloadConfig::default()
+                })
+            })
+            .collect();
+        let (terms, titles) = terms_and_titles(
+            corpora
+                .iter()
+                .flat_map(|workload| &workload.truth)
+                .map(|t| (t.title.as_str(), t.keywords.as_slice())),
+        );
+        assert!(terms.len() > 200, "guard: the corpora extract terms");
+        assert_index_matches_walk(&store(), &terms, &titles);
+    }
+
+    #[test]
+    fn label_index_matches_the_posting_walk_after_every_upload() {
+        use lodify_core::platform::{Platform, Upload};
+        use lodify_relational::workload::{generate, WorkloadConfig};
+
+        let seed = 7;
+        let mut platform = Platform::bootstrap(WorkloadConfig {
+            seed,
+            users: 10,
+            pictures: 50,
+            ..WorkloadConfig::default()
+        })
+        .unwrap();
+        let incoming = generate(WorkloadConfig {
+            seed: seed + 1,
+            users: 10,
+            pictures: 50,
+            ..WorkloadConfig::default()
+        });
+        let (terms, _) = terms_and_titles(
+            incoming
+                .truth
+                .iter()
+                .map(|t| (t.title.as_str(), t.keywords.as_slice())),
+        );
+        // Sindice reads across graphs: a probe term must also hit the
+        // picture labels the uploads add.
+        let store_before = platform.store().clone();
+        assert_index_matches_walk(&store_before, &terms, &[]);
+        for (n, truth) in incoming.truth.iter().enumerate() {
+            platform
+                .upload(Upload {
+                    user_id: 1 + (n as i64 % 10),
+                    title: truth.title.clone(),
+                    tags: truth.keywords.clone(),
+                    ts: 1_400_000_000 + n as i64 * 137,
+                    gps: None,
+                    poi: None,
+                })
+                .unwrap();
+            assert_index_matches_walk(platform.store(), &terms, std::slice::from_ref(&truth.title));
+        }
+        let ugc_hits = terms
+            .iter()
+            .map(|t| sindice_term(platform.store(), t, subjects_with_label))
+            .filter(|hits| hits.iter().any(|c| c.graph == SourceGraph::Other))
+            .count();
+        assert!(ugc_hits > 0, "guard: uploads add labels Sindice finds");
     }
 }

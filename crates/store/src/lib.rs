@@ -14,6 +14,10 @@
 //! * a **geospatial index** over `geo:geometry` points ([`geo`]),
 //!   backing `bif:st_intersects` (§2.3).
 //!
+//! Beside the full-text index, a **label index** ([`label`]) holds the
+//! naming literals among its postings: the gazetteer the semantic
+//! broker's resolvers look terms up in (§2.2.2).
+//!
 //! Named graphs are tracked as *provenance*: each statement remembers
 //! which graph (UGC, DBpedia, Geonames, LinkedGeoData, …) introduced
 //! it, and the semantic filter uses subject-level provenance to rank
@@ -35,6 +39,7 @@ pub mod dict;
 pub mod error;
 pub mod fulltext;
 pub mod geo;
+pub mod label;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
@@ -42,6 +47,6 @@ pub mod store;
 
 pub use dict::{Dict, TermId};
 pub use error::StoreError;
-pub use shard::{shard_of, FullTextView, GeoView, DEFAULT_SHARDS};
+pub use shard::{shard_of, FullTextView, GeoView, LabelView, DEFAULT_SHARDS};
 pub use snapshot::StoreSnapshot;
 pub use store::{GraphId, Store, DEFAULT_GRAPH};

@@ -1,7 +1,7 @@
 //! Subject-sharded triple indexes with shard-granular copy-on-write.
 //!
 //! The store partitions every subject-keyed structure — the SPO/POS/OSP
-//! permutation indexes, the full-text and geo side indexes, subject
+//! permutation indexes, the full-text, label and geo side indexes, subject
 //! provenance and the distinct-subject set — into [`Shard`]s routed by
 //! a stable mix of the subject's [`TermId`]. Two properties fall out:
 //!
@@ -34,6 +34,7 @@ use lodify_rdf::Point;
 use crate::dict::TermId;
 use crate::fulltext::{tokenize, FullTextIndex, Posting};
 use crate::geo::GeoIndex;
+use crate::label::{self, LabelIndex};
 use crate::store::GraphId;
 
 /// An `(s, p, o)`-shaped index key (field order varies per index).
@@ -59,6 +60,9 @@ pub struct Shard {
     pub(crate) osp: BTreeSet<Key>,
     /// Full-text postings contributed by this shard's subjects.
     pub(crate) fulltext: FullTextIndex,
+    /// The naming literals among this shard's full-text postings, for
+    /// entity linking.
+    pub(crate) labels: LabelIndex,
     /// Geo points of this shard's subjects.
     pub(crate) geo: GeoIndex,
     /// First graph that introduced each subject (provenance).
@@ -228,6 +232,47 @@ impl<'a> FullTextView<'a> {
             .iter()
             .map(|sh| sh.fulltext.tokens_indexed())
             .sum()
+    }
+}
+
+/// Read facade merging the per-shard label indexes
+/// ([`crate::label`]).
+///
+/// Both lookups return postings merged across shards in [`Posting`]
+/// order — the order the full-text index lists a token's postings in —
+/// for any shard count. Keys are hashes: a returned posting's literal
+/// may not match, so callers check it.
+#[derive(Debug, Clone, Copy)]
+pub struct LabelView<'a> {
+    shards: &'a [Arc<Shard>],
+}
+
+impl<'a> LabelView<'a> {
+    pub(crate) fn over(shards: &'a [Arc<Shard>]) -> Self {
+        LabelView { shards }
+    }
+
+    /// Postings of labels whose whole lowercased text hashes like
+    /// `label_lower` (already lowercased).
+    pub fn exact(&self, label_lower: &str) -> Vec<Posting> {
+        let key = label::key(label_lower);
+        self.merged(|sh| sh.labels.exact(key))
+    }
+
+    /// Postings of labels with a token that hashes like `token` (one
+    /// token as [`tokenize`] yields it).
+    pub fn token(&self, token: &str) -> Vec<Posting> {
+        let key = label::key(token);
+        self.merged(|sh| sh.labels.token(key))
+    }
+
+    fn merged(&self, bucket: impl Fn(&'a Shard) -> &'a [Posting]) -> Vec<Posting> {
+        let mut out: Vec<Posting> = Vec::new();
+        for sh in self.shards {
+            out.extend_from_slice(bucket(sh));
+        }
+        out.sort_unstable();
+        out
     }
 }
 

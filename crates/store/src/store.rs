@@ -20,8 +20,9 @@ use lodify_rdf::{ntriples, turtle, Iri, Point, Term, Triple};
 
 use crate::dict::{Dict, TermId};
 use crate::error::StoreError;
+use crate::label::is_label_predicate;
 use crate::shard::{
-    empty_shards, merge_sorted, shard_of, FullTextView, GeoView, Shard, DEFAULT_SHARDS,
+    empty_shards, merge_sorted, shard_of, FullTextView, GeoView, LabelView, Shard, DEFAULT_SHARDS,
 };
 use crate::snapshot::StoreSnapshot;
 use crate::stats::Stats;
@@ -43,7 +44,7 @@ struct GraphTable {
 }
 
 /// Dictionary-encoded in-memory triple store with subject-sharded
-/// SPO/POS/OSP indexes, full-text and geo side indexes, and
+/// SPO/POS/OSP indexes, full-text, label and geo side indexes, and
 /// subject-level graph provenance.
 ///
 /// All queries run over the **union** of graphs — exactly how the
@@ -62,7 +63,7 @@ struct GraphTable {
 #[derive(Debug, Clone)]
 pub struct Store {
     dict: Dict,
-    /// Subject shards: SPO/POS/OSP + fulltext + geo + provenance.
+    /// Subject shards: SPO/POS/OSP + fulltext + labels + geo + provenance.
     shards: Vec<Arc<Shard>>,
     /// Distinct-object sets, sharded by a mix of the object id.
     objects: Vec<Arc<HashSet<TermId>>>,
@@ -211,6 +212,9 @@ impl Store {
                 }
             } else if lit.datatype().is_none() || lit.language().is_some() {
                 shard.fulltext.index_literal(s, p, o, lit.value());
+                if is_label_predicate(triple.predicate.as_str()) {
+                    shard.labels.index_label(s, p, o, lit.value());
+                }
             }
         }
         true
@@ -271,9 +275,11 @@ impl Store {
                     Arc::make_mut(&mut self.shards[si]).geo.remove(s);
                 }
             } else if lit.datatype().is_none() || lit.language().is_some() {
-                Arc::make_mut(&mut self.shards[si])
-                    .fulltext
-                    .remove_literal(s, p, o, lit.value());
+                let shard = Arc::make_mut(&mut self.shards[si]);
+                shard.fulltext.remove_literal(s, p, o, lit.value());
+                if is_label_predicate(triple.predicate.as_str()) {
+                    shard.labels.remove_label(s, p, o, lit.value());
+                }
             }
         }
         true
@@ -364,6 +370,12 @@ impl Store {
     /// The full-text index, merged across shards.
     pub fn fulltext(&self) -> FullTextView<'_> {
         FullTextView::over(&self.shards)
+    }
+
+    /// The label index (naming literals only, see [`crate::label`]),
+    /// merged across shards.
+    pub fn labels(&self) -> LabelView<'_> {
+        LabelView::over(&self.shards)
     }
 
     /// The geo index, merged across shards.
@@ -933,5 +945,105 @@ mod tests {
         }
         assert_eq!(snap.export_ntriples(None), before);
         assert_eq!(store.len(), snap.len() + 50);
+    }
+
+    #[test]
+    fn label_index_follows_inserts_and_removes() {
+        let mut store = sample_store();
+        let pic = store.id_of(&Term::iri("http://t/pic1").unwrap()).unwrap();
+        let turin = store
+            .id_of(&Term::iri("http://dbpedia.org/resource/Turin").unwrap())
+            .unwrap();
+        let subjects = |postings: Vec<crate::fulltext::Posting>| -> Vec<TermId> {
+            postings.iter().map(|p| p.subject).collect()
+        };
+        assert_eq!(subjects(store.labels().exact("mole antonelliana")), [pic]);
+        assert_eq!(subjects(store.labels().token("antonelliana")), [pic]);
+        assert_eq!(subjects(store.labels().exact("torino")), [turin]);
+        // Only naming predicates are labels, and only whole labels
+        // match exactly.
+        store.insert_default(&triple(
+            "http://t/pic2",
+            ns::DBPO.iri("abstract").as_str(),
+            Term::literal("Torino"),
+        ));
+        assert_eq!(subjects(store.labels().exact("torino")), [turin]);
+        assert!(store.labels().exact("mole").is_empty());
+        assert_eq!(store.fulltext().search_word("torino").len(), 2);
+
+        let label_triple = triple(
+            "http://t/pic1",
+            ns::iri::rdfs_label().as_str(),
+            Term::Literal(Literal::lang("Mole Antonelliana", "it").unwrap()),
+        );
+        assert!(store.remove(&label_triple));
+        assert!(store.labels().exact("mole antonelliana").is_empty());
+        assert!(store.labels().token("mole").is_empty());
+        assert!(store.insert_default(&label_triple));
+        assert_eq!(subjects(store.labels().token("mole")), [pic]);
+
+        // A label with no tokens is in neither index, and removing it
+        // leaves both as they were.
+        let blank = triple(
+            "http://t/pic3",
+            ns::iri::foaf_name().as_str(),
+            Term::literal("¡ — !"),
+        );
+        assert!(store.insert_default(&blank));
+        assert!(store.labels().exact("¡ — !").is_empty());
+        assert!(store.remove(&blank));
+        assert_eq!(subjects(store.labels().token("mole")), [pic]);
+        // A typed literal is not a label either.
+        store.insert_default(&triple(
+            "http://t/pic4",
+            ns::iri::rdfs_label().as_str(),
+            Term::Literal(Literal::integer(7)),
+        ));
+        assert!(store.labels().exact("7").is_empty());
+    }
+
+    #[test]
+    fn a_pinned_snapshot_keeps_its_labels() {
+        let mut store = mixed_workload(4);
+        let snap = store.snapshot();
+        let before = snap.labels().token("torino");
+        store.insert_default(&triple(
+            "http://t/late",
+            ns::iri::rdfs_label().as_str(),
+            Term::literal("Torino Porta Nuova"),
+        ));
+        store.remove(&triple(
+            "http://t/user1/pic1",
+            ns::iri::rdfs_label().as_str(),
+            Term::literal("label number 1 torino"),
+        ));
+        assert_eq!(snap.labels().token("torino"), before);
+        assert!(snap.labels().exact("torino porta nuova").is_empty());
+        assert_eq!(store.labels().exact("torino porta nuova").len(), 1);
+        assert_eq!(store.labels().token("torino").len(), before.len());
+    }
+
+    #[test]
+    fn label_lookups_are_shard_count_invariant() {
+        let one = mixed_workload(1);
+        let four = mixed_workload(4);
+        let sixteen = mixed_workload(16);
+        for token in ["torino", "label", "number", "7", "absent"] {
+            let expected = one.labels().token(token);
+            assert_eq!(four.labels().token(token), expected, "{token}");
+            assert_eq!(sixteen.labels().token(token), expected, "{token}");
+        }
+        for label in ["label number 7 torino", "label number 6 torino", "torino"] {
+            let expected = one.labels().exact(label);
+            assert_eq!(four.labels().exact(label), expected, "{label}");
+            assert_eq!(sixteen.labels().exact(label), expected, "{label}");
+        }
+        // Removed labels are gone; kept ones are found, and postings
+        // come back in posting order.
+        assert!(one.labels().exact("label number 6 torino").is_empty());
+        assert_eq!(one.labels().exact("label number 7 torino").len(), 1);
+        let postings = sixteen.labels().token("torino");
+        assert_eq!(postings.len(), 100);
+        assert!(postings.windows(2).all(|w| w[0] < w[1]));
     }
 }
